@@ -3,7 +3,6 @@ received samples only, plus the least-squares path-loss line."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,23 +53,13 @@ def scale_from_mean(samples, m: float) -> float:
     return float(x.mean()) / m
 
 
-@dataclass(frozen=True)
-class LineFitInput:
-    """(ld, value_db) pairs for the straight-line fit."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple((float(a), float(b)) for a, b in self.points)
-        object.__setattr__(self, "points", pts)
-        if len({a for a, _ in pts}) < 2:
-            raise RankDeficientFitError("need >= 2 distinct ld values")
-
-
-def lse_line_fit(data: LineFitInput) -> PathLossLine:
-    """Ordinary least squares of value_db on ld, in the A - B*ld convention."""
-    ld = np.array([a for a, _ in data.points])
-    val = np.array([b for _, b in data.points])
+def lse_line_fit(ld, values) -> PathLossLine:
+    """Ordinary least squares of values (dB) on ld, in the A - B*ld
+    convention. Needs at least 2 distinct ld values."""
+    ld = np.asarray(ld, dtype=float)
+    if np.unique(ld).size < 2:
+        raise RankDeficientFitError("need >= 2 distinct ld values")
     design = np.column_stack([np.ones_like(ld), -ld])
-    coef, *_ = np.linalg.lstsq(design, val, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float),
+                               rcond=None)
     return PathLossLine(A=float(coef[0]), B=float(coef[1]))

@@ -7,6 +7,8 @@ import csv
 import math
 import sys
 
+import numpy as np
+
 from . import baselines, ingest, model, semcm, simulator
 from .errors import (ChanestError, DegenerateFitError, DegenerateSamplesError,
                      InsufficientDataError, ParseError, RankDeficientFitError)
@@ -77,21 +79,14 @@ def _estimation_flags(sp):
     sp.add_argument("--digamma", choices=("exact", "paper"), default="exact")
 
 
-def _write_packet_log(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ingest.HEADER)
-        for seq, dist, rssi in rows:
-            w.writerow([seq, repr(dist), "" if rssi is None else repr(rssi)])
-
-
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
             sc = simulator.Scenario.from_json(fh.read())
         if args.seed is not None:
             sc = simulator.Scenario(**{**sc.__dict__, "seed": args.seed})
-        _write_packet_log(args.out, simulator.packet_rows(sc))
+        with open(args.out, "w", newline="") as fh:
+            ingest.write_packet_log(fh, simulator.packet_rows(sc))
         _, truth, _ = simulator.generate_scenario(sc)
         with open(args.out + ".truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -111,9 +106,9 @@ def cmd_simulate(args) -> int:
 
 def _load_bins(args):
     with open(args.input, newline="") as fh:
-        records = ingest.parse_packet_log(fh)
-    losses = ingest.infer_losses(records)
-    return ingest.bin_by_ld(records, losses, args.ld_step, args.c_db)
+        log = ingest.parse_packet_log(fh)
+    return ingest.bin_by_ld(np.concatenate([log, ingest.infer_losses(log)]),
+                            args.ld_step, args.c_db)
 
 
 def _estimate_bins(bins, args):
@@ -195,15 +190,16 @@ def cmd_fit(args) -> int:
         print(f"chanest fit: {exc}", file=sys.stderr)
         return EXIT_DATA
     key = "mean1_db" if args.component == 1 else "mean2_db"
-    points = []
+    lds, values = [], []
     for row, status in zip(rows, statuses):
         if status != "ok" or math.isnan(row[key]):
             continue
         if args.exclude_ld and args.exclude_ld[0] <= row["ld"] <= args.exclude_ld[1]:
             continue
-        points.append((row["ld"], row[key]))
+        lds.append(row["ld"])
+        values.append(row[key])
     try:
-        line = baselines.lse_line_fit(baselines.LineFitInput(points))
+        line = baselines.lse_line_fit(lds, values)
     except RankDeficientFitError as exc:
         print(f"chanest fit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,39 +1,44 @@
-"""Packet-log parsing, sequence-number loss recovery and distance binning."""
+"""Packet-log file format, sequence-number loss recovery and distance binning.
+
+A packet log is one ``LOG_DTYPE`` array; NaN ``rssi_dbm`` marks a lost packet.
+Its file is a CSV under ``HEADER``: CRLF lines, shortest round-trip floats,
+an empty ``rssi_dbm`` field for a lost packet."""
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+
+import numpy as np
 
 from .errors import ParseError
 from .model import CensoredBin
 
 HEADER = ["seq", "distance_m", "rssi_dbm"]
+LOG_DTYPE = np.dtype([("seq", np.int64), ("distance_m", np.float64),
+                      ("rssi_dbm", np.float64)])
+# Largest step between consecutive sequence numbers taken as lost packets.
+# A larger step is a corrupt seq: inferring its losses would allocate one
+# row per missing number.
+MAX_SEQ_GAP = 10_000
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    seq: int
-    distance_m: float
-    rssi_dbm: float | None  # None marks an explicitly logged loss
-
-    @property
-    def received(self) -> bool:
-        return self.rssi_dbm is not None
+def write_packet_log(stream, log: np.ndarray) -> None:
+    """Write a log in the packet-log format to a text stream opened with
+    ``newline=""``."""
+    stream.write(",".join(HEADER) + "\r\n")
+    for at in range(0, log.size, 1 << 16):  # no Python rows for the whole log
+        stream.writelines(f"{s},{d!r},{'' if r != r else repr(r)}\r\n"
+                          for s, d, r in log[at:at + (1 << 16)].tolist())
 
 
-@dataclass(frozen=True)
-class LossEvent:
-    seq: int
-    distance_m: float
-
-
-def parse_packet_log(stream) -> list[PacketRecord]:
-    """Parse a packet-log CSV. Comment lines start with '#'. Malformed rows
-    are collected and reported together with their line numbers."""
-    records = []
+def parse_packet_log(stream) -> np.ndarray:
+    """Parse a packet-log CSV into a log in file order. Comment lines start
+    with '#'. Malformed rows (a non-finite distance or RSSI among them),
+    duplicate seqs and seq gaps above ``MAX_SEQ_GAP`` are reported together
+    with their line numbers."""
+    seq, dist, rssi, lines = array("q"), array("d"), array("d"), array("q")
     bad = []
-    seen = {}
     header_ok = False
     for lineno, row in enumerate(csv.reader(stream), start=1):
         if not row or (row[0].lstrip().startswith("#")):
@@ -46,75 +51,83 @@ def parse_packet_log(stream) -> list[PacketRecord]:
             header_ok = True
             continue
         try:
-            if len(row) != 3:
-                raise ValueError("wrong field count")
-            seq = int(row[0])
-            dist = float(row[1])
-            if not (math.isfinite(dist) and dist > 0):
-                raise ValueError("distance must be positive")
-            rssi = float(row[2]) if row[2].strip() != "" else None
-        except ValueError:
+            s, d, r = row
+            s, d = int(s), float(d)
+            r = float(r) if r.strip() != "" else None
+            if not (math.isfinite(d) and d > 0
+                    and (r is None or math.isfinite(r))):
+                raise ValueError("distance must be positive, values finite")
+            seq.append(s)  # OverflowError outside int64
+        except (ValueError, OverflowError):
             bad.append(lineno)
             continue
-        if seq in seen:
-            bad.extend([seen[seq], lineno])
-            continue
-        seen[seq] = lineno
-        records.append(PacketRecord(seq, dist, rssi))
+        dist.append(d)
+        rssi.append(math.nan if r is None else r)
+        lines.append(lineno)
     if not header_ok:
         raise ParseError("missing header row", lines=[1])
+
+    log = np.empty(len(seq), LOG_DTYPE)
+    log["seq"], log["distance_m"], log["rssi_dbm"] = seq, dist, rssi
+    order = np.argsort(log["seq"], kind="stable")
+    # sorted, so each step is in [0, 2**64): exact as uint64 where int64 wraps
+    step = np.diff(log["seq"][order]).view(np.uint64)
+    at = np.flatnonzero((step == 0) | (step > MAX_SEQ_GAP))
+    lineno = np.asarray(lines)[order]
+    bad = sorted({*bad, *lineno[at].tolist(), *lineno[at + 1].tolist()})
     if bad:
-        raise ParseError(
-            f"malformed or duplicate rows at lines {sorted(set(bad))}",
-            lines=sorted(set(bad)))
-    return records
+        raise ParseError(f"malformed rows, duplicate seqs or seq gaps above "
+                         f"{MAX_SEQ_GAP} at lines {bad}", lines=bad)
+    if not log.size:
+        raise ParseError("no packet rows after the header")
+    return log
 
 
-def infer_losses(records: list[PacketRecord]) -> list[LossEvent]:
-    """Each gap in the sequence numbers yields that many loss events, at
-    distances interpolated between the surrounding known packets."""
-    if not records:
-        raise ValueError("need at least one record")
-    ordered = sorted(records, key=lambda r: r.seq)
-    losses = []
-    for a, b in zip(ordered, ordered[1:]):
-        gap = b.seq - a.seq
-        for s in range(a.seq + 1, b.seq):
-            frac = (s - a.seq) / gap
-            d = a.distance_m + frac * (b.distance_m - a.distance_m)
-            losses.append(LossEvent(seq=s, distance_m=d))
-    return losses
+def infer_losses(log: np.ndarray) -> np.ndarray:
+    """The rows missing between consecutive sequence numbers, in seq order,
+    at distances interpolated between the packets around each gap. Losses
+    before the first or after the last sequence number cannot be seen."""
+    if not log.size:
+        raise ValueError("need at least one packet")
+    known = log[np.argsort(log["seq"], kind="stable")]
+    seq, dist = known["seq"], known["distance_m"]
+    gap = np.diff(seq)
+    if np.any(gap > MAX_SEQ_GAP):
+        raise ValueError(f"seq gap above MAX_SEQ_GAP={MAX_SEQ_GAP}")
+    missing = gap - 1
+    left = np.repeat(np.arange(gap.size), missing)
+    k = np.arange(left.size) - np.repeat(np.cumsum(missing) - missing,
+                                         missing) + 1
+    lost = np.empty(left.size, LOG_DTYPE)
+    lost["seq"] = seq[left] + k
+    lost["distance_m"] = (dist[left]
+                          + k / gap[left] * (dist[left + 1] - dist[left]))
+    lost["rssi_dbm"] = np.nan
+    return lost
 
 
-def bin_by_ld(records: list[PacketRecord], losses: list[LossEvent],
-              ld_step: float, c_db: float) -> list[CensoredBin]:
-    """Group everything into log-distance bins of width ld_step.
+def bin_by_ld(log: np.ndarray, ld_step: float,
+              c_db: float) -> list[CensoredBin]:
+    """Group a log, received and lost rows together, into log-distance bins
+    of width ld_step.
 
     Received samples at or below c_db count as censored, matching the
-    left-censoring model. Bin 'ld' is the lower edge of the cell.
+    left-censoring model. Bin 'ld' is the lower edge of the cell. Each bin's
+    observed samples stay in log order.
     """
     if ld_step <= 0:
         raise ValueError("ld_step must be > 0")
-
-    def idx(distance_m):
-        ld = 10.0 * math.log10(distance_m)
-        return math.floor(ld / ld_step + 1e-9)
-
-    observed, censored = {}, {}
-    for rec in records:
-        i = idx(rec.distance_m)
-        if rec.received and rec.rssi_dbm > c_db:
-            observed.setdefault(i, []).append(10.0 ** (rec.rssi_dbm / 10.0))
-        else:
-            censored[i] = censored.get(i, 0) + 1
-    for loss in losses:
-        i = idx(loss.distance_m)
-        censored[i] = censored.get(i, 0) + 1
-
+    cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
+    order = np.argsort(cell, kind="stable")
+    cell, rssi = cell[order], log["rssi_dbm"][order]
+    received = rssi > c_db  # False for a lost (NaN) row
+    power = 10.0 ** (rssi / 10.0)
+    keys, first = np.unique(cell, return_index=True)
     bins = []
-    for i in sorted(set(observed) | set(censored)):
-        obs = observed.get(i, [])
-        r1 = censored.get(i, 0)
-        bins.append(CensoredBin(ld=i * ld_step, observed=obs,
-                                n_total=len(obs) + r1, r1=r1, c_db=c_db))
+    for i, p, ok in zip(keys.tolist(), np.split(power, first[1:]),
+                        np.split(received, first[1:])):
+        obs = p[ok]
+        bins.append(CensoredBin(ld=int(i) * ld_step, observed=obs,
+                                n_total=p.size, r1=p.size - obs.size,
+                                c_db=c_db))
     return bins

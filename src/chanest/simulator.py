@@ -5,12 +5,12 @@ ingest side reads, so both paths share one pipeline."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .gamma_core import GammaParams
+from .ingest import LOG_DTYPE
 from .model import CensoredBin, MixtureParams, PathLossLine, db_to_linear
 
 SCENARIO_FIELDS = ("ld_start", "ld_end", "ld_step", "n_per_bin", "m1", "m2",
@@ -138,16 +138,17 @@ def censoring_probability(ld: float, sc: Scenario) -> float:
             + phi.alpha2 * reg_lower_gamma(phi.comp2.m, c / phi.comp2.omega))
 
 
-def packet_rows(sc: Scenario):
-    """One (seq, distance_m, rssi_dbm or None) row per transmitted packet,
-    drawn identically to ``generate_scenario``."""
-    rows = []
-    seq = 1
+def packet_rows(sc: Scenario) -> np.ndarray:
+    """The packet log of a scenario, one ``LOG_DTYPE`` row per transmitted
+    packet, drawn identically to ``generate_scenario``; a packet below the
+    threshold has NaN RSSI."""
+    n = sc.n_per_bin
+    log = np.empty(n * sc.ld_grid.size, LOG_DTYPE)
+    log["seq"] = np.arange(1, log.size + 1)
     for b, ld in enumerate(sc.ld_grid):
         mixed, keep = _draw_bin(sc, b, float(ld))
-        dist = 10.0 ** (float(ld) / 10.0)
-        for v, k in zip(mixed, keep):
-            rssi = 10.0 * math.log10(v) if k else None
-            rows.append((seq, dist, rssi))
-            seq += 1
-    return rows
+        rows = log[b * n:(b + 1) * n]
+        rows["distance_m"] = 10.0 ** (float(ld) / 10.0)
+        rows["rssi_dbm"] = 10.0 * np.log10(mixed, out=np.full(n, np.nan),
+                                           where=keep)
+    return log

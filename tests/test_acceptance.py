@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chanest.baselines import (LineFitInput, lse_line_fit, mb_shape,
-                               ml_minus_shape)
+from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.gamma_core import (EULER_GAMMA, GammaParams, digamma,
                                 inv_reg_lower_gamma, reg_lower_gamma,
                                 sample_truncated_gamma, solve_shape)
@@ -67,7 +66,7 @@ class TestCriterion1MeanLineRecovery:
             pts = [(bin_.ld, mixture_mean_db(tr.final, 1))
                    for bin_, tr in zip(bins, traces)
                    if not 26.0 <= bin_.ld <= 28.0]
-            line = lse_line_fit(LineFitInput(pts))
+            line = lse_line_fit(*zip(*pts))
             a_hat.append(line.A)
             b_hat.append(line.B)
         a_med, b_med = np.median(a_hat), np.median(b_hat)

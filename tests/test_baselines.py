@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chanest.baselines import (LineFitInput, lse_line_fit, mb_shape,
-                               ml_minus_shape, scale_from_mean)
+from chanest.baselines import (lse_line_fit, mb_shape, ml_minus_shape,
+                               scale_from_mean)
 from chanest.errors import DegenerateSamplesError, RankDeficientFitError
 from chanest.simulator import Scenario, generate_scenario
 
@@ -90,13 +90,12 @@ class TestScaleFromMean:
 class TestLseLineFit:
     def test_exact_recovery(self):
         lds = np.arange(23.0, 32.5, 0.5)
-        pts = [(ld, -16.0 - 3.0 * ld) for ld in lds]
-        line = lse_line_fit(LineFitInput(pts))
+        line = lse_line_fit(lds, -16.0 - 3.0 * lds)
         assert line.A == pytest.approx(-16.0, abs=1e-10)
         assert line.B == pytest.approx(3.0, abs=1e-10)
 
     def test_two_point_interpolation(self):
-        line = lse_line_fit(LineFitInput([(0.0, -10.0), (10.0, -40.0)]))
+        line = lse_line_fit([0.0, 10.0], [-10.0, -40.0])
         assert line.A == pytest.approx(-10.0)
         assert line.B == pytest.approx(3.0)
 
@@ -106,7 +105,7 @@ class TestLseLineFit:
         for _ in range(20):
             lds = np.linspace(23, 32, 20)
             vals = -16.0 - 3.0 * lds + rng.normal(0, 1.0, lds.size)
-            line = lse_line_fit(LineFitInput(list(zip(lds, vals))))
+            line = lse_line_fit(lds, vals)
             a_hat.append(line.A)
             b_hat.append(line.B)
         assert np.median(a_hat) == pytest.approx(-16.0, abs=0.8)
@@ -114,7 +113,9 @@ class TestLseLineFit:
 
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficientFitError):
-            LineFitInput([(1.0, 2.0), (1.0, 3.0)])
+            lse_line_fit([1.0, 1.0], [2.0, 3.0])
+        with pytest.raises(RankDeficientFitError):
+            lse_line_fit([], [])
 
 
 class TestBaselineFailureOnMixture:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chanest import ingest
 from chanest.cli import main
 from chanest.model import read_estimates
 from chanest.simulator import Scenario
@@ -81,6 +82,27 @@ class TestEstimate:
         rc = main(["estimate", "--input", str(tmp_path / "nope.csv"),
                    "--c-db", "-109", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+
+class TestMalformedLog:
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    @pytest.mark.parametrize("rows, lines", [
+        ("1,200,-90\n10000000000,200,-91\n", "[2, 3]"),  # corrupt seq
+        ("1,200,-90\n2,200,inf\n3,200,nan\n", "[3, 4]"),
+        ("", "no packet rows"),
+    ])
+    def test_exit_code_and_lines(self, tmp_path, monkeypatch, capsys,
+                                 command, rows, lines):
+        def no_inference(log):
+            raise AssertionError("losses inferred from a rejected log")
+
+        monkeypatch.setattr(ingest, "infer_losses", no_inference)
+        packets = tmp_path / "packets.csv"
+        packets.write_text("seq,distance_m,rssi_dbm\n" + rows)
+        rc = main([command, "--input", str(packets), "--c-db", "-109",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert lines in capsys.readouterr().err
 
 
 class TestCompare:

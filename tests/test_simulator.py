@@ -1,9 +1,13 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
+                            parse_packet_log, write_packet_log)
 from chanest.model import linear_to_db
 from chanest.simulator import (Scenario, censoring_probability,
                                generate_scenario, packet_rows,
@@ -102,15 +106,42 @@ class TestPacketRows:
     def test_matches_generate_scenario(self):
         sc = Scenario(seed=8, ld_start=30.0, ld_end=32.0, n_per_bin=200)
         bins, _, _ = generate_scenario(sc)
-        rows = packet_rows(sc)
-        assert len(rows) == 5 * 200
-        assert [r[0] for r in rows] == list(range(1, 1001))
-        received = {}
-        for _, dist, rssi in rows:
-            if rssi is not None:
-                received.setdefault(round(10 * math.log10(dist), 6), []).append(
-                    10 ** (rssi / 10.0))
-        for bin_ in bins:
-            got = np.array(received.get(round(bin_.ld, 6), []))
-            np.testing.assert_allclose(np.sort(got), np.sort(bin_.observed),
+        log = packet_rows(sc)
+        assert log.dtype == LOG_DTYPE
+        assert len(log) == 5 * 200
+        assert log["seq"].tolist() == list(range(1, 1001))
+        for b, bin_ in enumerate(bins):
+            rows = log[b * 200:(b + 1) * 200]
+            assert (rows["distance_m"] == 10 ** (bin_.ld / 10)).all()
+            rssi = rows["rssi_dbm"][~np.isnan(rows["rssi_dbm"])]
+            assert rssi.size == bin_.observed.size
+            np.testing.assert_allclose(10 ** (rssi / 10.0), bin_.observed,
                                        rtol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(step=st.sampled_from([0.25, 0.5, 1.0]),
+           ld_start=st.integers(20, 32), n_bins=st.integers(1, 4),
+           n_per_bin=st.integers(1, 60),
+           m1=st.floats(0.5, 20.0), m2=st.floats(0.5, 60.0),
+           alpha1=st.floats(0.0, 1.0), c_db=st.floats(-130.0, -80.0),
+           seed=st.integers(0, 2 ** 32))
+    def test_log_round_trip_reproduces_bins(self, step, ld_start, n_bins,
+                                            n_per_bin, m1, m2, alpha1, c_db,
+                                            seed):
+        # dyadic steps from an integer start keep every bin edge exact
+        sc = Scenario(ld_start=ld_start, ld_end=ld_start + (n_bins - 1) * step,
+                      ld_step=step, n_per_bin=n_per_bin, m1=m1, m2=m2,
+                      mixing_alpha1=alpha1, c_db=c_db, seed=seed)
+        want, _, _ = generate_scenario(sc)
+        text = io.StringIO()
+        write_packet_log(text, packet_rows(sc))
+        log = parse_packet_log(io.StringIO(text.getvalue()))
+        got = bin_by_ld(np.concatenate([log, infer_losses(log)]), step,
+                        c_db)
+        assert [(b.ld, b.n_total, b.r1) for b in got] == \
+            [(b.ld, b.n_total, b.r1) for b in want]
+        # the logged dB value carries ~2 ulp from 10*log10, which
+        # 10**(x/10) scales by ln(10)/10*|rssi_dbm|, and |rssi_dbm| < 130
+        rtol = (math.log(10) / 10 * 130 * 2 + 2) * np.finfo(float).eps
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.observed, w.observed, rtol=rtol)
