@@ -37,6 +37,34 @@ def _parse_exclude(text):
     return lo, hi
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number: {text}")
+    return value
+
+
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0: {text}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text}")
+    return value
+
+
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="chanest",
                 description="Censored Gamma-mixture channel estimation")
@@ -45,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic packet log")
     sim.add_argument("--config", required=True, help="scenario JSON")
     sim.add_argument("--out", required=True, help="packet-log CSV path")
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--seed", type=_seed, default=None,
                      help="override the scenario seed")
 
     est = sub.add_parser("estimate", help="per-bin mixture estimates")
@@ -69,13 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _estimation_flags(sp):
     sp.add_argument("--input", required=True, help="packet-log CSV")
-    sp.add_argument("--c-db", type=float, required=True,
+    sp.add_argument("--c-db", type=_finite_float, required=True,
                     help="censoring threshold in dBm")
-    sp.add_argument("--ld-step", type=float, default=0.5)
-    sp.add_argument("--iters", type=int, default=50)
-    sp.add_argument("--burn", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--init-m1", type=float, default=None)
+    sp.add_argument("--ld-step", type=_positive_float, default=0.5)
+    sp.add_argument("--iters", type=_positive_int, default=50)
+    sp.add_argument("--burn", type=_positive_int, default=10,
+                    help="burn window, at most --iters")
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--init-m1", type=_positive_float, default=None)
     sp.add_argument("--digamma", choices=("exact", "paper"), default="exact")
 
 
@@ -111,26 +140,39 @@ def _load_bins(args):
                             args.ld_step, args.c_db)
 
 
+def _failure_status(exc) -> str:
+    if isinstance(exc, InsufficientDataError):
+        return "insufficient-data"
+    if isinstance(exc, DegenerateFitError):
+        return "degenerate-fit"
+    return "numerical-failure"
+
+
 def _estimate_bins(bins, args):
-    """Run the SEM chain on every bin; failures become status strings."""
+    """Run the SEM chains of all bins as one batch; failures become status
+    strings."""
     config = semcm.SemConfig(
         iterations=args.iters, burn_window=args.burn, seed=args.seed,
         digamma_mode="paper_approx" if args.digamma == "paper" else "exact")
-    results = []
+    outcomes, inits = [None] * len(bins), {}
     for b, bin_ in enumerate(bins):
-        rng = simulator.bin_rng(args.seed, b)
         try:
-            init = semcm.init_heuristic(bin_, args.init_m1)
-            trace = semcm.run_semcm(bin_, init, config, rng)
-            est = model.BinEstimate.from_params(bin_.ld, trace.final,
+            inits[b] = semcm.init_heuristic(bin_, args.init_m1)
+        except (ChanestError, ValueError) as exc:
+            outcomes[b] = exc
+    traces = semcm.run_semcm_batch(
+        [bins[b] for b in inits], list(inits.values()), config,
+        [simulator.bin_rng(args.seed, b) for b in inits])
+    for b, trace in zip(inits, traces):
+        outcomes[b] = trace
+    results = []
+    for bin_, out in zip(bins, outcomes):
+        if isinstance(out, semcm.SemTrace):
+            est = model.BinEstimate.from_params(bin_.ld, out.final,
                                                 bin_.loss_fraction)
-            results.append((bin_, est, trace, "ok"))
-        except InsufficientDataError:
-            results.append((bin_, None, None, "insufficient-data"))
-        except DegenerateFitError:
-            results.append((bin_, None, None, "degenerate-fit"))
-        except (ChanestError, ValueError):
-            results.append((bin_, None, None, "numerical-failure"))
+            results.append((bin_, est, out, "ok"))
+        else:
+            results.append((bin_, None, None, _failure_status(out)))
     return results
 
 
@@ -221,7 +263,10 @@ _COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("estimate", "compare") and args.burn > args.iters:
+        parser.error(f"--burn {args.burn} exceeds --iters {args.iters}")
     return _COMMANDS[args.command](args)
 
 

@@ -35,11 +35,7 @@ class InsufficientDataError(ChanestError):
 
 
 class DegenerateFitError(ChanestError):
-    """The SEM chain could not be continued. Carries the partial trace."""
-
-    def __init__(self, message, partial_trace=None):
-        super().__init__(message)
-        self.partial_trace = partial_trace
+    """The SEM chain could not be continued: a component stayed empty."""
 
 
 class DegenerateSamplesError(ChanestError):

@@ -18,6 +18,13 @@ EULER_GAMMA = 0.5772156649015329
 # Below this the truncated tail cannot be represented in double precision.
 TRUNCATION_MASS_FLOOR = 1e-300
 
+DIGAMMA_MODES = ("exact", "paper_approx")
+# Minka (2002): digamma^-1(L) ~ exp(L) + 1/2 for L >= this, else
+# -1 / (L - digamma(1)); Newton from there converges in a few steps (at most
+# 5 exact, 10 paper_approx over L in [-700, 700]).
+MINKA_SPLIT = -2.22
+NEWTON_STEPS = 50
+
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -72,68 +79,77 @@ def inv_reg_lower_gamma(a: float, q):
     return float(out) if out.ndim == 0 else out
 
 
+def _psi(x, mode: str):
+    # unvalidated digamma kernel; the asymptotic form is written in 1/x so
+    # that it neither overflows nor warns for huge x
+    if mode == "exact":
+        return special.digamma(x)
+    r = 1.0 / x
+    return np.log(x) - r * (0.5 + r / 12.0)
+
+
+def _psi_deriv(x, mode: str):
+    if mode == "exact":
+        return special.zeta(2.0, x)  # trigamma
+    r = 1.0 / x
+    return r * (1.0 + r * (0.5 + r / 6.0))
+
+
 def digamma(x, mode: str = "exact"):
     """Digamma function, exact or the 3-term asymptotic approximation
     log(x) - 1/(2x) - 1/(12x^2)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or np.any(~np.isfinite(x)):
         raise ValueError("x must be finite and > 0")
-    if mode == "exact":
-        out = special.digamma(x)
-    elif mode == "paper_approx":
-        out = np.log(x) - 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x)
-    else:
+    if mode not in DIGAMMA_MODES:
         raise ValueError(f"unknown digamma mode {mode!r}")
+    out = _psi(x, mode)
     return float(out) if out.ndim == 0 else out
 
 
-def _digamma_deriv(x: float, mode: str) -> float:
-    if mode == "exact":
-        return float(special.polygamma(1, x))
-    return 1.0 / x + 1.0 / (2.0 * x * x) + 1.0 / (6.0 * x ** 3)
+def solve_shape(L, mode: str = "exact", tol: float = 1e-12):
+    """Solve digamma(m) = L for m > 0, elementwise over a scalar or array L.
 
-
-def solve_shape(L: float, mode: str = "exact", tol: float = 1e-12) -> float:
-    """Solve digamma(m) = L for m > 0.
-
-    Digamma is strictly increasing on (0, inf) with range (-inf, inf), so a
-    unique root always exists. Safeguarded Newton inside a bracket grown
-    geometrically from m = 1.
+    Digamma (either mode) is strictly increasing and concave on (0, inf)
+    with range (-inf, inf), so every lane has a unique root. Newton starts
+    from Minka's (2002) inverse-digamma approximation, and a lane stops as
+    soon as |digamma(m) - L| <= tol * max(1, |L|): its root never depends on
+    the other lanes. An L above ln(float max) ~ 709.78 has no finite root
+    and gives inf.
     """
-    if not math.isfinite(L):
-        raise ValueError(f"L must be finite, got {L}")
-
-    lo, hi = 1.0, 1.0
-    if digamma(1.0, mode) < L:
-        while digamma(hi, mode) < L:
-            hi *= 2.0
-        lo = hi / 2.0
-    else:
-        while digamma(lo, mode) > L:
-            lo /= 2.0
-            if lo < 1e-300:
-                raise ValueError(f"no representable root for L={L}")
-        hi = lo * 2.0
-
-    m = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = digamma(m, mode) - L
-        if abs(f) < tol:
-            return m
-        if f > 0:
-            hi = m
-        else:
-            lo = m
-        step = f / _digamma_deriv(m, mode)
-        cand = m - step
-        # fall back to bisection when Newton leaves the bracket
-        m = cand if lo < cand < hi else 0.5 * (lo + hi)
-    return m
+    L = np.asarray(L, dtype=float)
+    if not np.all(np.isfinite(L)):
+        raise ValueError("L must be finite")
+    if mode not in DIGAMMA_MODES:
+        raise ValueError(f"unknown digamma mode {mode!r}")
+    with np.errstate(over="ignore", divide="ignore"):
+        m = np.where(L >= MINKA_SPLIT, np.exp(L) + 0.5,
+                     -1.0 / (L + EULER_GAMMA)).ravel()
+    target = L.ravel()
+    lane = np.flatnonzero(np.isfinite(m))
+    for _ in range(NEWTON_STEPS):
+        x, want = m[lane], target[lane]
+        f = _psi(x, mode) - want
+        moving = np.abs(f) > tol * np.maximum(1.0, np.abs(want))
+        lane, x = lane[moving], x[moving]
+        if not lane.size:
+            break
+        m[lane] = x - f[moving] / _psi_deriv(x, mode)
+    out = m.reshape(L.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_gamma(p: GammaParams, rng: np.random.Generator, size=None):
     """Draw from Gamma(m, omega)."""
     return rng.gamma(p.m, p.omega, size)
+
+
+def truncated_gamma_ppf(u, m, omega, c, mass):
+    """Quantile u of Gamma(m, omega) conditioned on y <= c, given the
+    truncated mass P(m, c / omega). Elementwise over arrays and unvalidated;
+    the result is clipped into [tiny, c]."""
+    y = omega * special.gammaincinv(m, u * mass)
+    return np.maximum(np.minimum(y, c), np.finfo(float).tiny)
 
 
 def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
@@ -150,8 +166,5 @@ def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
         raise TruncationMassUnderflowError(
             f"P(m={p.m}, c/omega={c / p.omega:.3g}) = {mass:.3g}: component "
             "has no mass below the threshold")
-    u = rng.random(size)
-    y = p.omega * special.gammaincinv(p.m, u * mass)
-    y = np.minimum(y, c)
-    y = np.maximum(y, np.finfo(float).tiny)
+    y = truncated_gamma_ppf(rng.random(size), p.m, p.omega, c, mass)
     return float(y) if np.ndim(y) == 0 else y

@@ -5,7 +5,8 @@ ingest side reads, so both paths share one pipeline."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,10 +59,22 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Parse a JSON object of Scenario fields; anything else, an unknown
+        key or a value that is not a finite number of the field's type
+        (``int`` for ``n_per_bin`` and ``seed``) raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("scenario JSON must be an object")
         unknown = set(doc) - set(SCENARIO_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        types = {f.name: f.type for f in fields(cls)}
+        for name, value in doc.items():
+            kinds = int if types[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) \
+                    or (isinstance(value, float) and not math.isfinite(value)):
+                raise ValueError(f"scenario field {name!r} must be a finite "
+                                 f"{types[name]}, got {value!r}")
         return cls(**doc)
 
     def to_json(self) -> str:

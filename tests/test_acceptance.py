@@ -14,8 +14,9 @@ from chanest.gamma_core import (EULER_GAMMA, GammaParams, digamma,
                                 sample_truncated_gamma, solve_shape)
 from chanest.model import (CensoredBin, MixtureParams, linear_to_db,
                            mixture_mean_db)
-from chanest.semcm import (SemConfig, e_step_censored, e_step_observed,
-                           init_heuristic, run_semcm)
+from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
+                           e_step_censored, e_step_observed, init_heuristic,
+                           run_semcm)
 from chanest.simulator import (Scenario, censoring_probability,
                                generate_scenario)
 
@@ -198,22 +199,31 @@ class TestCriterion6EStepOracle:
             a1 = rng.uniform(0.05, 0.95)
             m1, m2 = rng.uniform(0.5, 40, 2)
             om1, om2 = np.exp(rng.uniform(-5, 5, 2))
-            phi = MixtureParams(a1, GammaParams(m1, om1),
-                                GammaParams(m2, om2))
+            phi = MixtureBatch.of([MixtureParams(a1, GammaParams(m1, om1),
+                                                 GammaParams(m2, om2))])
             x = float(rng.gamma(m1, om1))
             w1 = mp.mpf(a1) * mp.e ** mp_logpdf(x, m1, om1)
             w2 = mp.mpf(1 - a1) * mp.e ** mp_logpdf(x, m2, om2)
             want = float(w1 / (w1 + w2))
-            worst_o = max(worst_o, abs(e_step_observed(x, phi) - want))
+            received = BinBatch.of([CensoredBin(ld=0.0, observed=[x],
+                                                n_total=1, r1=0, c_db=-300.0)])
+            worst_o = max(worst_o,
+                          abs(e_step_observed(received, phi)[0] - want))
 
-            c = float(rng.gamma(m1, om1))  # an arbitrary positive threshold
+            # an arbitrary positive threshold, as the linear value of a bin's
+            # dB threshold
+            censored = BinBatch.of([CensoredBin(
+                ld=0.0, observed=[], n_total=1, r1=1,
+                c_db=linear_to_db(float(rng.gamma(m1, om1))))])
+            c = float(censored.c_lin[0])
             g1 = mp.mpf(a1) * mp.gammainc(mp.mpf(m1), 0, mp.mpf(c / om1),
                                           regularized=True)
             g2 = mp.mpf(1 - a1) * mp.gammainc(mp.mpf(m2), 0, mp.mpf(c / om2),
                                               regularized=True)
             if g1 + g2 > 0:
                 want_c = float(g1 / (g1 + g2))
-                worst_c = max(worst_c, abs(e_step_censored(c, phi) - want_c))
+                worst_c = max(worst_c, abs(
+                    e_step_censored(censored, phi)[0][0] - want_c))
         ok = worst_o < 1e-6 and worst_c < 1e-6
         assert _report(
             "criterion 6 (E-step oracle equivalence)", ok,
@@ -226,19 +236,20 @@ class TestCriterion7MStepStationarity:
         from chanest.semcm import CompletedAssignment, m_step
         rng = np.random.default_rng(707)
         x = rng.gamma(7.0, 2.0, 500)
-        bin_ = CensoredBin(ld=25.0, observed=x, n_total=x.size, r1=0,
-                           c_db=-300.0)
+        bins = BinBatch.of([CensoredBin(ld=25.0, observed=x, n_total=x.size,
+                                        r1=0, c_db=-300.0)])
         completed = CompletedAssignment(np.ones(x.size, bool),
                                         np.empty(0, bool), np.empty(0))
-        phi = MixtureParams(1.0, GammaParams(3.0, 1.0), GammaParams(1.0, 1.0))
+        phi = MixtureBatch.of([MixtureParams(1.0, GammaParams(3.0, 1.0),
+                                             GammaParams(1.0, 1.0))])
         cfg = SemConfig()
         for _ in range(5000):
-            nxt = m_step(bin_, completed, phi, cfg, on_empty="keep")
-            done = abs(nxt.comp1.m - phi.comp1.m) < 1e-13
+            nxt = m_step(bins, completed, phi, cfg, on_empty="keep")
+            done = abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13
             phi = nxt
             if done:
                 break
-        m_hat, om_hat = phi.comp1.m, phi.comp1.omega
+        m_hat, om_hat = phi.m[0, 0], phi.omega[0, 0]
         err_mean = abs(m_hat * om_hat - x.mean()) / x.mean()
         err_psi = abs(digamma(m_hat) - float(np.mean(np.log(x / om_hat))))
         ok = err_mean < 1e-9 and err_psi < 1e-9

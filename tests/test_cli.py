@@ -1,8 +1,15 @@
+import importlib
+import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chanest import ingest
+from chanest import cli, ingest
 from chanest.cli import main
 from chanest.model import read_estimates
 from chanest.simulator import Scenario
@@ -44,12 +51,23 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_bad_config_schema(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"bogus": 1}, id="unknown-key"),
+        pytest.param(None, id="null"),
+        pytest.param([1], id="array"),
+        pytest.param({"n_per_bin": "x"}, id="str-int"),
+        pytest.param({"seed": 1.5}, id="float-int"),
+        pytest.param({"m1": "7"}, id="str-float"),
+        pytest.param({"seed": True}, id="bool-int"),
+        pytest.param({"m1": float("nan")}, id="nan-float"),
+    ])
+    def test_bad_config_schema(self, tmp_path, capsys, doc):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps(doc))
         rc = main(["simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert "chanest simulate:" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -66,6 +84,8 @@ class TestEstimate:
         trace_lines = trace.read_text().splitlines()
         assert trace_lines[0].startswith("ld,iteration,")
         assert len(trace_lines) == 1 + 5 * 50
+        for line in trace_lines[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(","))
 
     def test_deterministic(self, tmp_path, scenario_config):
         packets = _simulate(tmp_path, scenario_config)
@@ -190,3 +210,56 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["simulate"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    @pytest.mark.parametrize("flags", [
+        ["--iters", "0"], ["--burn", "51"], ["--burn", "0"],
+        ["--iters", "5", "--burn", "6"], ["--ld-step", "0"],
+        ["--ld-step", "-0.5"], ["--c-db", "nan"], ["--c-db", "inf"],
+        ["--init-m1", "-1"], ["--init-m1", "nan"], ["--seed", "-1"],
+    ], ids=" ".join)
+    def test_rejected_estimation_values(self, tmp_path, capsys, command,
+                                        flags):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--input", str(tmp_path / "p.csv"), "--c-db",
+                  "-109", "--out", str(tmp_path / "o.csv"), *flags])
+        assert err.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_rejected_simulate_seed(self, tmp_path, scenario_config):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", str(scenario_config),
+                  "--out", str(tmp_path / "p.csv"), "--seed", "-1"])
+        assert err.value.code == 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestTracedBenchmark:
+    """bench/child.py wraps package functions by name for ``--trace 1``."""
+
+    def test_targets_resolve(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_child", ROOT / "bench" / "child.py")
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        for module, attr, *_ in child.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr,
+                                    None)), f"{module}.{attr}"
+        assert set(cli._COMMANDS) == {"simulate", "estimate", "compare",
+                                      "fit"}
+
+    def test_traced_estimate_counts(self, tmp_path, scenario_config):
+        packets = _simulate(tmp_path, scenario_config)
+        result = tmp_path / "child.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "child.py"), "0", "1",
+             str(result), "--", "estimate", "--input", str(packets),
+             "--c-db", "-109", "--out", str(tmp_path / "est.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(result.read_text())["trace"]
+        assert trace["counts"]["ingest.bins"] == 5
+        assert trace["calls"]["gamma_core.solve_shape"] >= 50

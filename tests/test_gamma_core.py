@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from chanest.errors import TruncationMassUnderflowError
@@ -163,6 +165,31 @@ class TestSolveShape:
             solve_shape(math.nan)
         with pytest.raises(ValueError):
             solve_shape(math.inf)
+
+    @pytest.mark.parametrize("mode", ["exact", "paper_approx"])
+    def test_unrepresentable_root_is_inf(self, mode):
+        assert solve_shape(710.0, mode) == math.inf
+
+    @pytest.mark.parametrize("mode", ["exact", "paper_approx"])
+    @settings(max_examples=300, deadline=None)
+    @given(L=st.floats(-700.0, 700.0))
+    @example(L=-700.0)
+    @example(L=237.0)
+    @example(L=700.0)
+    def test_root_property(self, mode, L):
+        m = solve_shape(L, mode)
+        assert math.isfinite(m) and m > 0
+        assert abs(digamma(m, mode) - L) <= 1e-12 * max(1.0, abs(L))
+        # a converged lane stops within tol * max(1, |L|) of its root
+        assert solve_shape(digamma(m, mode), mode) == pytest.approx(m,
+                                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["exact", "paper_approx"])
+    @settings(max_examples=50, deadline=None)
+    @given(Ls=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=20))
+    def test_lanes_are_independent(self, mode, Ls):
+        batch = solve_shape(np.array(Ls), mode)
+        assert batch.tolist() == [solve_shape(L, mode) for L in Ls]
 
 
 class TestSampleGamma:

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from chanest.errors import (EmptyComponentError, InsufficientDataError)
+from chanest.errors import (DegenerateCensorMassError, DegenerateFitError,
+                            EmptyComponentError, InsufficientDataError)
 from chanest.gamma_core import GammaParams, digamma, inv_reg_lower_gamma
 from chanest.model import CensoredBin, MixtureParams, linear_to_db, mixture_mean_db
-from chanest.semcm import (CompletedAssignment, SemConfig, e_step_censored,
-                           e_step_observed, init_heuristic, m_step,
-                           run_semcm, s_step)
-from chanest.simulator import Scenario, generate_scenario, true_params_at
+from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
+                           SemConfig, e_step_censored, e_step_observed,
+                           init_heuristic, m_step, run_semcm,
+                           run_semcm_batch, s_step)
+from chanest.simulator import (Scenario, bin_rng, generate_scenario,
+                               true_params_at)
 
 
 def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
@@ -21,6 +26,14 @@ def _uncensored_bin(samples, c_db=-300.0):
     samples = np.asarray(samples, dtype=float)
     return CensoredBin(ld=25.0, observed=samples, n_total=samples.size,
                        r1=0, c_db=c_db)
+
+
+def _batch(samples):
+    return BinBatch.of([_uncensored_bin(samples)])
+
+
+def _one(phi):
+    return MixtureBatch.of([phi])
 
 
 def _density(y, comp):
@@ -41,71 +54,99 @@ class TestSemConfig:
 class TestEStepObserved:
     def test_symmetry(self):
         phi = MixtureParams(0.5, GammaParams(7, 2), GammaParams(7, 2))
-        for x in (0.1, 1.0, 100.0):
-            assert e_step_observed(x, phi) == pytest.approx(0.5)
+        t = e_step_observed(_batch([0.1, 1.0, 100.0]), _one(phi))
+        np.testing.assert_allclose(t, 0.5)
 
     def test_alpha_one(self):
-        assert e_step_observed(3.0, _phi(alpha1=1.0)) == 1.0
+        assert e_step_observed(_batch([3.0]), _one(_phi(alpha1=1.0)))[0] \
+            == 1.0
 
     def test_frozen_oracle_value(self):
         # frozen from a 40-digit mpmath evaluation of the responsibility
         phi = _phi(alpha1=0.3, m1=7, om1=1, m2=1, om2=5)
-        assert e_step_observed(4.0, phi) == pytest.approx(
+        assert e_step_observed(_batch([4.0]), _one(phi))[0] == pytest.approx(
             0.3319574672567457, abs=1e-12)
 
     def test_bounds_and_complement(self):
         rng = np.random.default_rng(10)
         phi = _phi()
         x = rng.gamma(3.0, 2.0, 1000)
-        t = e_step_observed(x, phi)
+        t = e_step_observed(_batch(x), _one(phi))
         assert np.all((t >= 0) & (t <= 1))
+
+    def test_per_bin_parameters(self):
+        # each sample is weighed with its own bin's mixture
+        phis = [_phi(alpha1=0.3, m1=7, om1=1, m2=1, om2=5), _phi()]
+        bins = BinBatch.of([_uncensored_bin([4.0, 9.0]),
+                            _uncensored_bin([4.0])])
+        t = e_step_observed(bins, MixtureBatch.of(phis))
+        np.testing.assert_array_equal(
+            t, np.concatenate([e_step_observed(_batch([4.0, 9.0]),
+                                               _one(phis[0])),
+                               e_step_observed(_batch([4.0]), _one(phis[1]))]))
+
+
+def _censored_batch(c_db):
+    c = 10 ** (c_db / 10)
+    return BinBatch.of([CensoredBin(ld=25.0, observed=[2 * c, 3 * c],
+                                    n_total=3, r1=1, c_db=c_db)])
 
 
 class TestEStepCensored:
     def test_symmetry(self):
         phi = MixtureParams(0.5, GammaParams(7, 2), GammaParams(7, 2))
-        assert e_step_censored(1.0, phi) == pytest.approx(0.5)
+        t1, _ = e_step_censored(_censored_batch(0.0), _one(phi))
+        assert t1[0] == pytest.approx(0.5)
 
     def test_negligible_component2_mass(self):
         # component 2 sits far above the threshold with a narrow shape
         phi = _phi(m1=1.0, om1=1.0, m2=35.0, om2=1e6)
-        assert e_step_censored(1.0, phi) == pytest.approx(1.0, abs=1e-12)
+        t1, _ = e_step_censored(_censored_batch(0.0), _one(phi))
+        assert t1[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_oracle_deep_bin(self):
         # default scenario at ld=31, threshold -109 dBm
         sc = Scenario()
         phi = true_params_at(31.0, sc)
-        c = 10 ** -10.9
+        bins = _censored_batch(-109.0)
+        c = bins.c_lin[0]
         i1, _ = integrate.quad(lambda y: _density(y, phi.comp1), 0, c)
         i2, _ = integrate.quad(lambda y: _density(y, phi.comp2), 0, c)
         want = phi.alpha1 * i1 / (phi.alpha1 * i1 + phi.alpha2 * i2)
-        assert e_step_censored(c, phi) == pytest.approx(want, abs=1e-10)
+        t1, mass = e_step_censored(bins, _one(phi))
+        assert t1[0] == pytest.approx(want, abs=1e-10)
+        # the masses are the per-component integrals below the threshold
+        np.testing.assert_allclose(mass[0], [i1, i2], rtol=1e-8)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            e_step_censored(0.0, _phi())
+            BinBatch.of([CensoredBin(ld=25.0, observed=[1.0, 2.0], n_total=3,
+                                     r1=1, c_db=-math.inf)])
 
 
 class TestSStep:
     def test_certain_labels(self):
-        bin_ = _uncensored_bin([1.0, 2.0, 3.0])
-        out = s_step(bin_, _phi(alpha1=1.0), np.random.default_rng(0))
+        bins = _batch([1.0, 2.0, 3.0])
+        out, failed = s_step(bins, _one(_phi(alpha1=1.0)),
+                             [np.random.default_rng(0)])
         assert np.all(out.z_obs)
         assert out.y_cens.size == 0
+        # component 2 can never get a sample: every redraw is used up
+        assert isinstance(failed[0], DegenerateFitError)
 
     def test_no_imputations_without_censoring(self):
-        bin_ = _uncensored_bin([1.0, 2.0])
-        out = s_step(bin_, _phi(), np.random.default_rng(0))
+        out, _ = s_step(_batch([1.0, 2.0]), _one(_phi()),
+                        [np.random.default_rng(0)])
         assert out.z_cens.size == 0 and out.y_cens.size == 0
 
     def test_label_frequencies(self):
         bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=10_001,
                            r1=10_000, c_db=linear_to_db(0.5))
-        phi = _phi()
-        t1 = e_step_censored(bin_.c_lin, phi)
-        counts = []
+        phi = _one(_phi())
+        bins = BinBatch.of([bin_])
+        t1 = e_step_censored(bins, phi)[0][0]
         rng = np.random.default_rng(11)
-        out = s_step(bin_, phi, rng)
+        out, _ = s_step(bins, phi, [rng])
         k = int(out.z_cens.sum())
         sigma = math.sqrt(10_000 * t1 * (1 - t1))
         assert abs(k - 10_000 * t1) < 3 * sigma
@@ -113,28 +154,57 @@ class TestSStep:
     def test_imputed_values_below_threshold(self):
         bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=101, r1=100,
                            c_db=linear_to_db(0.5))
-        out = s_step(bin_, _phi(), np.random.default_rng(12))
+        out, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
+                        [np.random.default_rng(12)])
         assert np.all(out.y_cens <= bin_.c_lin)
         assert np.all(out.y_cens > 0)
 
     def test_deterministic_given_seed(self):
         bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0], n_total=10, r1=8,
                            c_db=linear_to_db(1.0))
-        a = s_step(bin_, _phi(), np.random.default_rng(13))
-        b = s_step(bin_, _phi(), np.random.default_rng(13))
+        a, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
+                      [np.random.default_rng(13)])
+        b, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
+                      [np.random.default_rng(13)])
         np.testing.assert_array_equal(a.z_obs, b.z_obs)
         np.testing.assert_array_equal(a.y_cens, b.y_cens)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draw_order(self, seed):
+        # per attempt, one bin's uniforms come in the order random(n_obs),
+        # random(r1), random(k1), random(k2); an attempt leaving a component
+        # empty is drawn again (seed 1 draws twice)
+        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], n_total=4,
+                           r1=1, c_db=linear_to_db(1.0))
+        bins, phi = BinBatch.of([bin_]), _one(_phi(m1=1.0, om1=0.5))
+        out, failed = s_step(bins, phi, [np.random.default_rng(seed)])
+        assert not failed
+        t_obs = e_step_observed(bins, phi)
+        t1, mass = e_step_censored(bins, phi)
+        rng = np.random.default_rng(seed)
+        while True:
+            z_obs = rng.random(3) < t_obs
+            k1 = int(np.count_nonzero(rng.random(1) < t1[0]))
+            y = [phi.omega[0, j] * inv_reg_lower_gamma(
+                    phi.m[0, j], rng.random(k) * mass[0, j])
+                 for j, k in ((0, k1), (1, 1 - k1))]
+            if 0 < z_obs.sum() + k1 < 4:
+                break
+        np.testing.assert_array_equal(out.z_obs, z_obs)
+        assert out.z_cens.tolist() == [True] * k1 + [False] * (1 - k1)
+        np.testing.assert_array_equal(
+            out.y_cens, np.minimum(np.concatenate(y), bin_.c_lin))
 
 
 class TestMStep:
     def test_alpha_counting_and_clamp(self):
-        bin_ = _uncensored_bin([1.0, 2.0, 3.0, 4.0])
+        bins = _batch([1.0, 2.0, 3.0, 4.0])
         completed = CompletedAssignment(np.ones(4, bool), np.empty(0, bool),
                                         np.empty(0))
         cfg = SemConfig(alpha_floor=0.02)
-        out = m_step(bin_, completed, _phi(), cfg, on_empty="keep")
+        out = m_step(bins, completed, _one(_phi()), cfg, on_empty="keep")
         # raw alpha1 = 1, stored value clamped to 1 - floor
-        assert out.alpha1 == pytest.approx(0.98)
+        assert out.alpha1[0] == pytest.approx(0.98)
 
     def test_hand_built_scale_update(self):
         # comp1 gets {1, 3} observed, comp2 gets {10} observed + {0.5} imputed
@@ -144,38 +214,38 @@ class TestMStep:
             z_obs=np.array([True, True, False]),
             z_cens=np.array([False]), y_cens=np.array([0.5]))
         prev = _phi(m1=2.0, om1=1.0, m2=4.0, om2=1.0)
-        out = m_step(bin_, completed, prev, SemConfig())
+        out = m_step(BinBatch.of([bin_]), completed, _one(prev), SemConfig())
         # omega_im = component mean; omega = omega_im / m_prev
-        assert out.comp1.omega == pytest.approx(2.0 / 2.0)
-        assert out.comp2.omega == pytest.approx(5.25 / 4.0)
+        assert out.omega[0, 0] == pytest.approx(2.0 / 2.0)
+        assert out.omega[0, 1] == pytest.approx(5.25 / 4.0)
         # shape solves digamma(m) = mean ln(x / omega_new)
-        want_l1 = np.mean(np.log(np.array([1.0, 3.0]) / out.comp1.omega))
-        assert digamma(out.comp1.m) == pytest.approx(want_l1, abs=1e-9)
+        want_l1 = np.mean(np.log(np.array([1.0, 3.0]) / out.omega[0, 0]))
+        assert digamma(out.m[0, 0]) == pytest.approx(want_l1, abs=1e-9)
 
     def test_empty_component_error(self):
-        bin_ = _uncensored_bin([1.0, 2.0])
+        bins = _batch([1.0, 2.0])
         completed = CompletedAssignment(np.ones(2, bool), np.empty(0, bool),
                                         np.empty(0))
         with pytest.raises(EmptyComponentError):
-            m_step(bin_, completed, _phi(), SemConfig())
+            m_step(bins, completed, _one(_phi()), SemConfig())
 
     def test_single_component_ml_stationarity(self):
         # iterating the update on a fully comp1-labeled uncensored sample
         # must converge to the Gamma ML equations: mean and log-mean matching
         rng = np.random.default_rng(14)
         x = rng.gamma(7.0, 2.0, 400)
-        bin_ = _uncensored_bin(x)
+        bins = _batch(x)
         completed = CompletedAssignment(np.ones(x.size, bool),
                                         np.empty(0, bool), np.empty(0))
-        phi = _phi(m1=3.0, om1=1.0)
+        phi = _one(_phi(m1=3.0, om1=1.0))
         cfg = SemConfig()
         for _ in range(5000):
-            nxt = m_step(bin_, completed, phi, cfg, on_empty="keep")
-            if abs(nxt.comp1.m - phi.comp1.m) < 1e-13:
+            nxt = m_step(bins, completed, phi, cfg, on_empty="keep")
+            if abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13:
                 phi = nxt
                 break
             phi = nxt
-        m_hat, om_hat = phi.comp1.m, phi.comp1.omega
+        m_hat, om_hat = phi.m[0, 0], phi.omega[0, 0]
         assert m_hat * om_hat == pytest.approx(x.mean(), rel=1e-9)
         assert digamma(m_hat) == pytest.approx(
             float(np.mean(np.log(x / om_hat))), abs=1e-9)
@@ -245,14 +315,73 @@ class TestRunSemcm:
         trace = run_semcm(bins[16], truth.params[16], cfg,
                           np.random.default_rng(5))
         assert len(trace.iterates) == 30
-        assert len(trace.imputed_comp1) == 30
-        assert all(0 <= k <= bins[16].r1 for k in trace.imputed_comp1)
 
     def test_insufficient_data(self):
         bin_ = CensoredBin(ld=25.0, observed=[1.0], n_total=5, r1=4,
                            c_db=linear_to_db(0.5))
         with pytest.raises(InsufficientDataError):
             run_semcm(bin_, _phi(), SemConfig())
+
+
+# a small scenario whose bins run alone once, as the reference for batches
+BATCH_SEED = 6
+BATCH_CONFIG = SemConfig(iterations=15, burn_window=5)
+
+
+@pytest.fixture(scope="module")
+def lone_runs():
+    bins, _, _ = generate_scenario(Scenario(ld_step=1.0, n_per_bin=150,
+                                            seed=BATCH_SEED))
+    inits = [init_heuristic(b) for b in bins]
+    alone = [run_semcm(b, init, BATCH_CONFIG, bin_rng(BATCH_SEED, i))
+             for i, (b, init) in enumerate(zip(bins, inits))]
+    return bins, inits, alone
+
+
+class TestBatchInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_and_order(self, lone_runs, data):
+        bins, inits, alone = lone_runs
+        order = data.draw(st.lists(st.sampled_from(range(len(bins))),
+                                   min_size=1, unique=True))
+        out = run_semcm_batch([bins[b] for b in order],
+                              [inits[b] for b in order], BATCH_CONFIG,
+                              [bin_rng(BATCH_SEED, b) for b in order])
+        for b, trace in zip(order, out):
+            assert trace.final == alone[b].final
+            assert trace.iterates == alone[b].iterates
+
+    @pytest.mark.parametrize("broken, error", [
+        # alpha1 = 1: component 2 never gets a sample
+        (lambda p: MixtureParams(1.0, p.comp1, p.comp2), DegenerateFitError),
+        # two narrow components far above the threshold: no censored mass
+        (lambda p: MixtureParams(0.5, GammaParams(500.0, p.comp1.mean * 2),
+                                 GammaParams(500.0, p.comp2.mean * 2)),
+         DegenerateCensorMassError),
+    ])
+    def test_failed_bin_leaves_others_alone(self, lone_runs, broken, error):
+        bins, inits, alone = lone_runs
+        k = len(bins) - 1  # the deepest bin has censored samples
+        assert bins[k].r1 > 0
+        inits = inits[:k] + [broken(inits[k])]
+        out = run_semcm_batch(bins, inits, BATCH_CONFIG,
+                              [bin_rng(BATCH_SEED, b)
+                               for b in range(len(bins))])
+        assert isinstance(out[k], error)
+        for b in range(k):
+            assert out[b].final == alone[b].final
+            assert out[b].iterates == alone[b].iterates
+
+    def test_too_few_samples_fail_alone(self, lone_runs):
+        bins, inits, alone = lone_runs
+        tiny = CensoredBin(ld=40.0, observed=[1e-9], n_total=5, r1=4,
+                           c_db=bins[0].c_db)
+        out = run_semcm_batch([tiny, bins[0]], [inits[0], inits[0]],
+                              BATCH_CONFIG, [bin_rng(BATCH_SEED, 9),
+                                             bin_rng(BATCH_SEED, 0)])
+        assert isinstance(out[0], InsufficientDataError)
+        assert out[1].iterates == alone[0].iterates
 
 
 class TestInitHeuristic:
