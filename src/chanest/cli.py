@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_exclude(text):
     lo, _, hi = text.partition(":")
     try:
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite_float(lo), _finite_float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected LO:HI")
     if hi < lo:
@@ -108,6 +108,11 @@ def _estimation_flags(sp):
     sp.add_argument("--digamma", choices=("exact", "paper"), default="exact")
 
 
+def _data_error(command, exc) -> int:
+    print(f"chanest {command}: {exc}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
@@ -119,17 +124,13 @@ def cmd_simulate(args) -> int:
         _, truth, _ = simulator.generate_scenario(sc)
         with open(args.out + ".truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["ld", "alpha1", "m1", "omega1", "m2", "omega2",
-                        "mean1_db", "mean2_db"])
+            w.writerow(["ld", *model.PARAM_FIELDS, "mean1_db", "mean2_db"])
             for ld, phi, m1db, m2db in zip(truth.lds, truth.params,
                                            truth.mean1_db, truth.mean2_db):
-                w.writerow([repr(float(ld)), repr(phi.alpha1),
-                            repr(phi.comp1.m), repr(phi.comp1.omega),
-                            repr(phi.comp2.m), repr(phi.comp2.omega),
-                            repr(float(m1db)), repr(float(m2db))])
+                w.writerow([repr(v) for v in (float(ld), *phi.row(),
+                                              float(m1db), float(m2db))])
     except (OSError, ValueError) as exc:
-        print(f"chanest simulate: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error("simulate", exc)
     return EXIT_OK
 
 
@@ -149,10 +150,11 @@ def _failure_status(exc) -> str:
 
 
 def _estimate_bins(bins, args):
-    """Run the SEM chains of all bins as one batch; failures become status
-    strings."""
+    """Run the SEM chains of all bins as one batch. Returns one
+    ``(bin, trace, status)`` per bin; a failed bin has no trace and its
+    failure as the status."""
     config = semcm.SemConfig(
-        iterations=args.iters, burn_window=args.burn, seed=args.seed,
+        iterations=args.iters, burn_window=args.burn,
         digamma_mode="paper_approx" if args.digamma == "paper" else "exact")
     outcomes, inits = [None] * len(bins), {}
     for b, bin_ in enumerate(bins):
@@ -165,63 +167,49 @@ def _estimate_bins(bins, args):
         [simulator.bin_rng(args.seed, b) for b in inits])
     for b, trace in zip(inits, traces):
         outcomes[b] = trace
-    results = []
-    for bin_, out in zip(bins, outcomes):
-        if isinstance(out, semcm.SemTrace):
-            est = model.BinEstimate.from_params(bin_.ld, out.final,
-                                                bin_.loss_fraction)
-            results.append((bin_, est, out, "ok"))
-        else:
-            results.append((bin_, None, None, _failure_status(out)))
-    return results
+    return [(bin_, out, "ok") if isinstance(out, semcm.SemTrace)
+            else (bin_, None, _failure_status(out))
+            for bin_, out in zip(bins, outcomes)]
 
 
 def cmd_estimate(args) -> int:
     try:
-        bins = _load_bins(args)
+        results = _estimate_bins(_load_bins(args), args)
+        model.write_estimates(args.out, [
+            (bin_.ld, None if trace is None else trace.final,
+             bin_.loss_fraction, status) for bin_, trace, status in results])
+        if args.trace:
+            with open(args.trace, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["ld", "iteration", *model.PARAM_FIELDS])
+                for bin_, trace, _ in results:
+                    if trace is None:
+                        continue
+                    for it, row in enumerate(trace.iterates.tolist(), 1):
+                        w.writerow([repr(bin_.ld), it, *map(repr, row)])
     except (OSError, ParseError) as exc:
-        print(f"chanest estimate: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    results = _estimate_bins(bins, args)
-    rows = [est if est is not None else {"ld": bin_.ld}
-            for bin_, est, _, _ in results]
-    model.write_estimates(args.out, rows,
-                          statuses=[s for *_, s in results])
-    if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["ld", "iteration", "alpha1", "m1", "omega1",
-                        "m2", "omega2"])
-            for bin_, _, trace, status in results:
-                if status != "ok":
-                    continue
-                for it, phi in enumerate(trace.iterates, start=1):
-                    w.writerow([repr(bin_.ld), it, repr(phi.alpha1),
-                                repr(phi.comp1.m), repr(phi.comp1.omega),
-                                repr(phi.comp2.m), repr(phi.comp2.omega)])
+        return _data_error("estimate", exc)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     try:
-        bins = _load_bins(args)
+        results = _estimate_bins(_load_bins(args), args)
+        with open(args.out, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction",
+                        "status"])
+            for bin_, trace, status in results:
+                try:
+                    ml = repr(baselines.ml_minus_shape(bin_.observed))
+                    mb = repr(baselines.mb_shape(bin_.observed))
+                except (DegenerateSamplesError, ValueError):
+                    ml = mb = ""
+                sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
+                w.writerow([repr(bin_.ld), sem_m1, ml, mb,
+                            repr(bin_.loss_fraction), status])
     except (OSError, ParseError) as exc:
-        print(f"chanest compare: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    results = _estimate_bins(bins, args)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction",
-                    "status"])
-        for bin_, est, _, status in results:
-            try:
-                ml = repr(baselines.ml_minus_shape(bin_.observed))
-                mb = repr(baselines.mb_shape(bin_.observed))
-            except (DegenerateSamplesError, ValueError):
-                ml = mb = ""
-            sem_m1 = repr(est.params.comp1.m) if est is not None else ""
-            w.writerow([repr(bin_.ld), sem_m1, ml, mb,
-                        repr(bin_.loss_fraction), status])
+        return _data_error("compare", exc)
     return EXIT_OK
 
 
@@ -229,8 +217,7 @@ def cmd_fit(args) -> int:
     try:
         rows, statuses = model.read_estimates(args.input)
     except (OSError, ValueError) as exc:
-        print(f"chanest fit: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error("fit", exc)
     key = "mean1_db" if args.component == 1 else "mean2_db"
     lds, values = [], []
     for row, status in zip(rows, statuses):
@@ -251,8 +238,7 @@ def cmd_fit(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(out)
         except OSError as exc:
-            print(f"chanest fit: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            return _data_error("fit", exc)
     else:
         sys.stdout.write(out)
     return EXIT_OK

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gamma_core import GammaParams
 
-ESTIMATE_FIELDS = ("ld", "alpha1", "m1", "omega1", "m2", "omega2",
-                   "mean1_db", "mean2_db", "loss_fraction")
+# one mixture as a row of floats, the layout of every parameter CSV column
+PARAM_FIELDS = ("alpha1", "m1", "omega1", "m2", "omega2")
+ESTIMATE_FIELDS = ("ld", *PARAM_FIELDS, "mean1_db", "mean2_db",
+                   "loss_fraction")
 
 
 def db_to_linear(v):
@@ -48,6 +50,16 @@ class MixtureParams:
     @property
     def alpha2(self) -> float:
         return 1.0 - self.alpha1
+
+    def row(self) -> tuple:
+        """The parameters in ``PARAM_FIELDS`` order."""
+        return (self.alpha1, self.comp1.m, self.comp1.omega, self.comp2.m,
+                self.comp2.omega)
+
+    @classmethod
+    def from_row(cls, row) -> "MixtureParams":
+        alpha1, m1, omega1, m2, omega2 = map(float, row)
+        return cls(alpha1, GammaParams(m1, omega1), GammaParams(m2, omega2))
 
 
 def mixture_mean_db(params: MixtureParams, component: int) -> float:
@@ -96,37 +108,6 @@ class CensoredBin:
 
 
 @dataclass(frozen=True)
-class BinEstimate:
-    """Per-bin estimate with the dBm component means spelled out."""
-
-    ld: float
-    params: MixtureParams
-    mean1_db: float
-    mean2_db: float
-    loss_fraction: float
-
-    @classmethod
-    def from_params(cls, ld, params, loss_fraction):
-        return cls(ld=ld, params=params,
-                   mean1_db=mixture_mean_db(params, 1),
-                   mean2_db=mixture_mean_db(params, 2),
-                   loss_fraction=loss_fraction)
-
-    def as_row(self) -> dict:
-        return {
-            "ld": self.ld,
-            "alpha1": self.params.alpha1,
-            "m1": self.params.comp1.m,
-            "omega1": self.params.comp1.omega,
-            "m2": self.params.comp2.m,
-            "omega2": self.params.comp2.omega,
-            "mean1_db": self.mean1_db,
-            "mean2_db": self.mean2_db,
-            "loss_fraction": self.loss_fraction,
-        }
-
-
-@dataclass(frozen=True)
 class PathLossLine:
     """Straight-line median path loss: value(ld) = A - B * ld."""
 
@@ -141,23 +122,39 @@ class PathLossLine:
         return self.A - self.B * np.asarray(ld, dtype=float)
 
 
-def write_estimates(path, rows, statuses=None):
-    """Write the per-bin estimates CSV. ``rows`` maps 1:1 to bins; entries
-    may be BinEstimate or dicts with at least ``ld``. A status column is
-    appended (ok / failure reason)."""
+def write_estimates(path, rows):
+    """Write the per-bin estimates CSV from ``(ld, params, loss_fraction,
+    status)`` rows, deriving the dBm component means. ``params`` is None
+    for a failed bin, whose value fields stay empty."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(ESTIMATE_FIELDS) + ["status"])
-        for i, row in enumerate(rows):
-            status = statuses[i] if statuses else "ok"
-            if isinstance(row, BinEstimate):
-                row = row.as_row()
-            w.writerow([repr(float(row.get(f, math.nan))) if f in row else ""
-                        for f in ESTIMATE_FIELDS] + [status])
+        w.writerow(ESTIMATE_FIELDS + ("status",))
+        blank = [""] * (len(ESTIMATE_FIELDS) - 1)
+        for ld, params, loss_fraction, status in rows:
+            values = blank if params is None else [repr(float(v)) for v in (
+                *params.row(), mixture_mean_db(params, 1),
+                mixture_mean_db(params, 2), loss_fraction)]
+            w.writerow([repr(float(ld)), *values, status])
+
+
+def _estimate_field(rec, name, line):
+    text = rec[name]
+    if not text:  # empty, or missing from a short row
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"estimates CSV line {line}: {name} = {text!r} is "
+                         "not a finite number")
+    return value
 
 
 def read_estimates(path):
-    """Read an estimates CSV back into (list of dict rows, statuses)."""
+    """Read an estimates CSV back into (list of dict rows, statuses). An
+    empty field reads as NaN; any other value that is not a finite number
+    raises ValueError naming its line."""
     rows, statuses = [], []
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
@@ -166,6 +163,6 @@ def read_estimates(path):
             raise ValueError(f"estimates CSV missing columns: {sorted(missing)}")
         for rec in r:
             statuses.append(rec.get("status", "ok"))
-            rows.append({f: float(rec[f]) if rec[f] not in ("", None) else math.nan
+            rows.append({f: _estimate_field(rec, f, r.line_num)
                          for f in ESTIMATE_FIELDS})
     return rows, statuses

@@ -38,7 +38,6 @@ class SemConfig:
     iterations: int = 50
     burn_window: int = 10
     alpha_floor: float = 0.02
-    seed: int = 0
     digamma_mode: str = "exact"
 
     def __post_init__(self):
@@ -54,12 +53,8 @@ class SemConfig:
 class SemTrace:
     """Per-iteration parameter history of one run."""
 
-    iterates: list          # MixtureParams per iteration
-    final: MixtureParams    # burn-window average
-
-    @property
-    def last(self) -> MixtureParams:
-        return self.iterates[-1]
+    iterates: np.ndarray    # (iterations, 5): one PARAM_FIELDS row each
+    final: MixtureParams    # burn-window mean
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,7 @@ class MixtureBatch:
 
     @classmethod
     def of(cls, params) -> "MixtureBatch":
-        rows = np.array([(p.alpha1, p.comp1.m, p.comp1.omega, p.comp2.m,
-                          p.comp2.omega) for p in params], float)
-        rows = rows.reshape(-1, 5)
+        rows = np.array([p.row() for p in params], float).reshape(-1, 5)
         return cls(rows[:, 0].copy(), rows[:, 1::2].copy(),
                    rows[:, 2::2].copy())
 
@@ -304,17 +297,6 @@ def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
                         np.where(swap[:, None], phi.omega[:, ::-1], phi.omega))
 
 
-def _burn_average(iterates, window: int) -> MixtureParams:
-    tail = iterates[-window:]
-    alpha1 = float(np.mean([p.alpha1 for p in tail]))
-    comps = []
-    for pick in (lambda p: p.comp1, lambda p: p.comp2):
-        m = float(np.mean([pick(p).m for p in tail]))
-        om = float(np.mean([pick(p).omega for p in tail]))
-        comps.append(GammaParams(m=m, omega=om))
-    return MixtureParams(alpha1=alpha1, comp1=comps[0], comp2=comps[1])
-
-
 def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     """Run the E/S/M chains of many bins in lockstep, bin b from ``inits[b]``
     with generator ``rngs[b]``.
@@ -336,7 +318,7 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     batch = BinBatch.of([bins[b] for b in live])
     phi = MixtureBatch.of([inits[b] for b in live])
     rngs = [rngs[b] for b in live]
-    history = np.empty((config.iterations, len(bins), 5))
+    history = np.empty((len(bins), config.iterations, 5))
 
     def drop(failed):
         # record the failures; returns the mask of the bins that go on
@@ -368,24 +350,25 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
                 "is not finite and > 0") for i in bad})
             nxt = nxt.take(keep)
         phi = _ordered(nxt, phi)
-        history[it, live] = np.column_stack(
-            [phi.alpha1, phi.m[:, 0], phi.omega[:, 0], phi.m[:, 1],
-             phi.omega[:, 1]])
+        # PARAM_FIELDS order: alpha1, then (m, omega) of each component
+        history[live, it, 0] = phi.alpha1
+        history[live, it, 1::2] = phi.m
+        history[live, it, 2::2] = phi.omega
 
     for b in live:
-        iterates = [MixtureParams(a, GammaParams(m1, w1), GammaParams(m2, w2))
-                    for a, m1, w1, m2, w2 in history[:, b].tolist()]
-        out[b] = SemTrace(iterates,
-                          _burn_average(iterates, config.burn_window))
+        # reduce each parameter's window as one contiguous 1-D run: that is
+        # np.mean's pairwise sum; a row-by-row (axis=0) sum rounds otherwise
+        tail = np.ascontiguousarray(history[b, -config.burn_window:].T)
+        out[b] = SemTrace(history[b],
+                          MixtureParams.from_row(tail.mean(axis=1)))
     return out
 
 
 def run_semcm(bin_: CensoredBin, init: MixtureParams, config: SemConfig,
-              rng: np.random.Generator | None = None) -> SemTrace:
+              rng: np.random.Generator) -> SemTrace:
     """Run the full E/S/M chain of one bin (a batch of one) and return the
-    trace with its burn average; raises the error that ended the chain."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    trace with its burn-window mean; raises the error that ended the
+    chain."""
     result, = run_semcm_batch([bin_], [init], config, [rng])
     if isinstance(result, SemTrace):
         return result

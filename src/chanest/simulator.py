@@ -12,7 +12,7 @@ import numpy as np
 
 from .gamma_core import GammaParams
 from .ingest import LOG_DTYPE
-from .model import CensoredBin, MixtureParams, PathLossLine, db_to_linear
+from .model import CensoredBin, MixtureParams, db_to_linear
 
 SCENARIO_FIELDS = ("ld_start", "ld_end", "ld_step", "n_per_bin", "m1", "m2",
                    "pl_a", "pl_b", "interference_mean_db", "mixing_alpha1",
@@ -46,10 +46,6 @@ class Scenario:
             raise ValueError("shapes must be > 0")
         if not (0.0 <= self.mixing_alpha1 <= 1.0):
             raise ValueError("mixing_alpha1 must be in [0, 1]")
-
-    @property
-    def pl_line(self) -> PathLossLine:
-        return PathLossLine(A=self.pl_a, B=self.pl_b)
 
     @property
     def ld_grid(self) -> np.ndarray:

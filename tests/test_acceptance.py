@@ -12,8 +12,8 @@ from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.gamma_core import (EULER_GAMMA, GammaParams, digamma,
                                 inv_reg_lower_gamma, reg_lower_gamma,
                                 sample_truncated_gamma, solve_shape)
-from chanest.model import (CensoredBin, MixtureParams, linear_to_db,
-                           mixture_mean_db)
+from chanest.model import (PARAM_FIELDS, CensoredBin, MixtureParams,
+                           linear_to_db, mixture_mean_db)
 from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
                            e_step_censored, e_step_observed, init_heuristic,
                            run_semcm)
@@ -54,7 +54,7 @@ def default_runs():
         for b, bin_ in enumerate(bins):
             rng = np.random.default_rng([seed, b])
             init = _perturbed_init(truth.params[b], rng)
-            traces.append(run_semcm(bin_, init, SemConfig(seed=seed), rng))
+            traces.append(run_semcm(bin_, init, SemConfig(), rng))
         runs.append((sc, bins, truth, traces))
     return runs, time.time() - t0
 
@@ -141,8 +141,7 @@ class TestCriterion4SemMatchesMlWithoutInterference:
             assert obs.size >= 500
             bin_ = CensoredBin(ld=30.0, observed=obs, n_total=n,
                                r1=n - obs.size, c_db=linear_to_db(c))
-            trace = run_semcm(bin_, init_heuristic(bin_),
-                              SemConfig(seed=seed), rng)
+            trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(), rng)
             ml = ml_minus_shape(obs)
             diffs.append(abs(trace.final.comp1.m - ml) / ml)
         med = np.median(diffs)
@@ -170,11 +169,9 @@ class TestCriterion5Convergence:
                 if bin_.ld > 25.0:
                     continue
                 rng = np.random.default_rng([seed, b])
-                tr = run_semcm(bin_, truth.params[b], SemConfig(seed=seed),
-                               rng)
-                for get in (lambda p: p.comp1.m, lambda p: p.comp1.omega,
-                            lambda p: p.alpha1):
-                    vals = [get(p) for p in tr.iterates]
+                tr = run_semcm(bin_, truth.params[b], SemConfig(), rng)
+                for name in ("m1", "omega1", "alpha1"):
+                    vals = tr.iterates[:, PARAM_FIELDS.index(name)].tolist()
                     v30 = running_mean(vals, 30)
                     v50 = running_mean(vals, 50)
                     worst = max(worst, abs(v50 - v30) / abs(v30))

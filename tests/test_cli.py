@@ -125,6 +125,21 @@ class TestMalformedLog:
         assert lines in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, flag", [
+        ("estimate", "--out"), ("estimate", "--trace"), ("compare", "--out")])
+    def test_exit_code(self, tmp_path, scenario_config, capsys, command,
+                       flag):
+        packets = _simulate(tmp_path, scenario_config)
+        outs = {"--out": str(tmp_path / "o.csv"),
+                flag: str(tmp_path / "missing" / "x.csv")}
+        rc = main([command, "--input", str(packets), "--c-db", "-109",
+                   *(arg for item in outs.items() for arg in item)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"chanest {command}:" in err and "missing" in err
+
+
 class TestCompare:
     def test_columns(self, tmp_path, scenario_config):
         packets = _simulate(tmp_path, scenario_config)
@@ -184,6 +199,18 @@ class TestFit:
         rc = main(["fit", "--input", str(est)])
         assert rc == 3
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_estimate_is_data_error(self, tmp_path, capsys, value):
+        est = tmp_path / "est.csv"
+        est.write_text("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
+                       "loss_fraction,status\n"
+                       "23.0,0.5,7,1,35,1,-85,-97,0.0,ok\n"
+                       f"24.0,0.5,7,1,35,1,{value},-97,0.0,ok\n"
+                       "25.0,0.5,7,1,35,1,-91,-97,0.0,ok\n")
+        rc = main(["fit", "--input", str(est)])
+        assert rc == 2
+        assert "line 3: mean1_db" in capsys.readouterr().err
+
     def test_exclude_interval(self, tmp_path):
         est = tmp_path / "est.csv"
         hdr = ("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
@@ -211,18 +238,23 @@ class TestUsage:
             main(["simulate"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("command", ["estimate", "compare"])
-    @pytest.mark.parametrize("flags", [
-        ["--iters", "0"], ["--burn", "51"], ["--burn", "0"],
-        ["--iters", "5", "--burn", "6"], ["--ld-step", "0"],
-        ["--ld-step", "-0.5"], ["--c-db", "nan"], ["--c-db", "inf"],
-        ["--init-m1", "-1"], ["--init-m1", "nan"], ["--seed", "-1"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("command, flags", [
+        pytest.param(command, flags, id=f"{' '.join(flags)}-{command}")
+        for command, flags in [
+            *((command, flags) for flags in (
+                ["--iters", "0"], ["--burn", "51"], ["--burn", "0"],
+                ["--iters", "5", "--burn", "6"], ["--ld-step", "0"],
+                ["--ld-step", "-0.5"], ["--c-db", "nan"], ["--c-db", "inf"],
+                ["--init-m1", "-1"], ["--init-m1", "nan"], ["--seed", "-1"])
+              for command in ("estimate", "compare")),
+            *(("fit", ["--exclude-ld", bounds]) for bounds in (
+                "nan:nan", "0:nan", "-inf:30", "1:x", "2:1"))]])
     def test_rejected_estimation_values(self, tmp_path, capsys, command,
                                         flags):
+        est_flags = ["--c-db", "-109"] if command != "fit" else []
         with pytest.raises(SystemExit) as err:
-            main([command, "--input", str(tmp_path / "p.csv"), "--c-db",
-                  "-109", "--out", str(tmp_path / "o.csv"), *flags])
+            main([command, "--input", str(tmp_path / "p.csv"), *est_flags,
+                  "--out", str(tmp_path / "o.csv"), *flags])
         assert err.value.code == 1
         assert "usage:" in capsys.readouterr().err
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from chanest.gamma_core import GammaParams, sample_gamma
-from chanest.model import (BinEstimate, CensoredBin, MixtureParams,
-                           PathLossLine, db_to_linear, linear_to_db,
-                           mixture_mean_db, read_estimates, write_estimates)
+from chanest.model import (ESTIMATE_FIELDS, PARAM_FIELDS, CensoredBin,
+                           MixtureParams, PathLossLine, db_to_linear,
+                           linear_to_db, mixture_mean_db, read_estimates,
+                           write_estimates)
 
 
 class TestConversions:
@@ -39,6 +40,14 @@ class TestMixtureParams:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             _phi(alpha1=1.5)
+
+    def test_row_round_trip(self):
+        phi = _phi(alpha1=0.3, m1=6.0, om1=1.5, m2=30.0, om2=0.25)
+        assert phi.row() == (0.3, 6.0, 1.5, 30.0, 0.25)
+        assert len(phi.row()) == len(PARAM_FIELDS)
+        assert MixtureParams.from_row(np.array(phi.row())) == phi
+        assert all(type(v) is float
+                   for v in MixtureParams.from_row(np.ones(5)).row())
 
 
 class TestMixtureMeanDb:
@@ -90,22 +99,36 @@ class TestPathLossLine:
 
 class TestEstimateCsv:
     def test_round_trip(self, tmp_path):
-        est = BinEstimate.from_params(23.5, _phi(alpha1=0.4217), 0.125)
+        phi = _phi(alpha1=0.4217)
         path = tmp_path / "est.csv"
-        write_estimates(path, [est])
+        write_estimates(path, [(23.5, phi, 0.125, "ok")])
         rows, statuses = read_estimates(path)
         assert statuses == ["ok"]
-        back = rows[0]
-        for key, want in est.as_row().items():
-            assert back[key] == pytest.approx(want, rel=1e-12)
+        want = {"ld": 23.5, **dict(zip(PARAM_FIELDS, phi.row())),
+                "mean1_db": mixture_mean_db(phi, 1),
+                "mean2_db": mixture_mean_db(phi, 2), "loss_fraction": 0.125}
+        assert tuple(want) == ESTIMATE_FIELDS
+        for key, value in want.items():
+            assert rows[0][key] == pytest.approx(value, rel=1e-12)
 
     def test_status_column(self, tmp_path):
         path = tmp_path / "est.csv"
-        write_estimates(path, [{"ld": 30.0}], statuses=["insufficient-data"])
+        write_estimates(path, [(30.0, None, 0.5, "insufficient-data")])
+        assert path.read_text().splitlines()[1] == \
+            "30.0" + "," * (len(ESTIMATE_FIELDS) - 1) + ",insufficient-data"
         rows, statuses = read_estimates(path)
         assert statuses == ["insufficient-data"]
         assert rows[0]["ld"] == 30.0
         assert np.isnan(rows[0]["m1"])
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "x"])
+    def test_read_rejects_nonfinite_value(self, tmp_path, value):
+        path = tmp_path / "est.csv"
+        path.write_text(",".join(ESTIMATE_FIELDS) + ",status\n"
+                        "23.0,0.5,7,1,35,1,-85,-97,0.0,ok\n"
+                        f"24.0,0.5,7,1,35,1,{value},-97,,ok\n")
+        with pytest.raises(ValueError, match="line 3: mean1_db"):
+            read_estimates(path)
 
     def test_read_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -9,7 +9,8 @@ from scipy import integrate
 from chanest.errors import (DegenerateCensorMassError, DegenerateFitError,
                             EmptyComponentError, InsufficientDataError)
 from chanest.gamma_core import GammaParams, digamma, inv_reg_lower_gamma
-from chanest.model import CensoredBin, MixtureParams, linear_to_db, mixture_mean_db
+from chanest.model import (PARAM_FIELDS, CensoredBin, MixtureParams,
+                           linear_to_db, mixture_mean_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
                            init_heuristic, m_step, run_semcm,
@@ -256,7 +257,7 @@ class TestRunSemcm:
         rng = np.random.default_rng(15)
         x = rng.gamma(7.0, 10 ** -8.5 / 7.0, 1000)
         bin_ = _uncensored_bin(x, c_db=-300.0)
-        trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(seed=1),
+        trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(),
                           np.random.default_rng(1))
         got = mixture_mean_db(trace.final, 1)
         assert abs(got - (-85.0)) < 0.5
@@ -266,7 +267,7 @@ class TestRunSemcm:
         bins, truth, _ = generate_scenario(sc)
         bin_ = bins[0]  # ld = 23, well-separated clusters
         rng = np.random.default_rng(21)
-        trace = run_semcm(bin_, truth.params[0], SemConfig(seed=21), rng)
+        trace = run_semcm(bin_, truth.params[0], SemConfig(), rng)
         assert trace.final.comp1.m == pytest.approx(7.0, rel=0.3)
         assert trace.final.comp2.m == pytest.approx(35.0, rel=0.3)
 
@@ -274,20 +275,20 @@ class TestRunSemcm:
         rng = np.random.default_rng(16)
         x = rng.gamma(3.0, 1.0, 200)
         bin_ = _uncensored_bin(x)
-        cfg = SemConfig(iterations=1, burn_window=1, seed=2)
+        cfg = SemConfig(iterations=1, burn_window=1)
         trace = run_semcm(bin_, init_heuristic(bin_), cfg,
                           np.random.default_rng(2))
         assert len(trace.iterates) == 1
-        assert trace.final == trace.iterates[0]
+        assert trace.final.row() == tuple(trace.iterates[0])
 
     def test_determinism(self):
         sc = Scenario(seed=22)
         bins, _, _ = generate_scenario(sc)
-        cfg = SemConfig(seed=3)
+        cfg = SemConfig()
         init = init_heuristic(bins[17])
         t1 = run_semcm(bins[17], init, cfg, np.random.default_rng(3))
         t2 = run_semcm(bins[17], init, cfg, np.random.default_rng(3))
-        assert t1.iterates == t2.iterates
+        assert np.array_equal(t1.iterates, t2.iterates)
         assert t1.final == t2.final
 
     def test_scale_equivariance(self):
@@ -298,7 +299,7 @@ class TestRunSemcm:
                          c_db=linear_to_db(x.min() / 2))
         b2 = CensoredBin(ld=25.0, observed=x * scale, n_total=320, r1=20,
                          c_db=linear_to_db(x.min() * scale / 2))
-        cfg = SemConfig(seed=4)
+        cfg = SemConfig()
         i1 = init_heuristic(b1)
         i2 = init_heuristic(b2)
         t1 = run_semcm(b1, i1, cfg, np.random.default_rng(4))
@@ -311,16 +312,30 @@ class TestRunSemcm:
     def test_trace_length_and_counts(self):
         sc = Scenario(seed=23)
         bins, truth, _ = generate_scenario(sc)
-        cfg = SemConfig(iterations=30, burn_window=5, seed=5)
+        cfg = SemConfig(iterations=30, burn_window=5)
         trace = run_semcm(bins[16], truth.params[16], cfg,
                           np.random.default_rng(5))
         assert len(trace.iterates) == 30
+        assert trace.iterates.shape == (30, len(PARAM_FIELDS))
+
+    @pytest.mark.parametrize("window", [8, 10, 16])
+    def test_final_is_burn_window_mean(self, window):
+        # np.mean of each parameter's last ``window`` values, bit for bit:
+        # a row-by-row (axis=0) sum rounds differently in the last digit
+        bins, _, _ = generate_scenario(Scenario(seed=24))
+        cfg = SemConfig(iterations=30, burn_window=window)
+        for b in (0, 9, 18):
+            trace = run_semcm(bins[b], init_heuristic(bins[b]), cfg,
+                              bin_rng(24, b))
+            want = [np.mean(col.tolist()) for col in
+                    trace.iterates[-window:].T]
+            assert trace.final.row() == tuple(want)
 
     def test_insufficient_data(self):
         bin_ = CensoredBin(ld=25.0, observed=[1.0], n_total=5, r1=4,
                            c_db=linear_to_db(0.5))
         with pytest.raises(InsufficientDataError):
-            run_semcm(bin_, _phi(), SemConfig())
+            run_semcm(bin_, _phi(), SemConfig(), np.random.default_rng(0))
 
 
 # a small scenario whose bins run alone once, as the reference for batches
@@ -350,7 +365,7 @@ class TestBatchInvariance:
                               [bin_rng(BATCH_SEED, b) for b in order])
         for b, trace in zip(order, out):
             assert trace.final == alone[b].final
-            assert trace.iterates == alone[b].iterates
+            assert np.array_equal(trace.iterates, alone[b].iterates)
 
     @pytest.mark.parametrize("broken, error", [
         # alpha1 = 1: component 2 never gets a sample
@@ -371,7 +386,7 @@ class TestBatchInvariance:
         assert isinstance(out[k], error)
         for b in range(k):
             assert out[b].final == alone[b].final
-            assert out[b].iterates == alone[b].iterates
+            assert np.array_equal(out[b].iterates, alone[b].iterates)
 
     def test_too_few_samples_fail_alone(self, lone_runs):
         bins, inits, alone = lone_runs
@@ -381,7 +396,7 @@ class TestBatchInvariance:
                               BATCH_CONFIG, [bin_rng(BATCH_SEED, 9),
                                              bin_rng(BATCH_SEED, 0)])
         assert isinstance(out[0], InsufficientDataError)
-        assert out[1].iterates == alone[0].iterates
+        assert np.array_equal(out[1].iterates, alone[0].iterates)
 
 
 class TestInitHeuristic:
