@@ -3,6 +3,7 @@ plot-ready CSV."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -174,13 +175,18 @@ def _estimate_bins(bins, args):
 
 def cmd_estimate(args) -> int:
     try:
-        results = _estimate_bins(_load_bins(args), args)
-        model.write_estimates(args.out, [
-            (bin_.ld, None if trace is None else trace.final,
-             bin_.loss_fraction, status) for bin_, trace, status in results])
-        if args.trace:
-            with open(args.trace, "w", newline="") as fh:
-                w = csv.writer(fh)
+        bins = _load_bins(args)
+        # opened before estimating, so that an unwritable path fails fast
+        with open(args.out, "w", newline="") as out, \
+                (open(args.trace, "w", newline="") if args.trace
+                 else contextlib.nullcontext()) as trace_fh:
+            results = _estimate_bins(bins, args)
+            model.write_estimates(out, [
+                (bin_.ld, None if trace is None else trace.final,
+                 bin_.loss_fraction, status)
+                for bin_, trace, status in results])
+            if trace_fh:
+                w = csv.writer(trace_fh)
                 w.writerow(["ld", "iteration", *model.PARAM_FIELDS])
                 for bin_, trace, _ in results:
                     if trace is None:
@@ -194,8 +200,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        results = _estimate_bins(_load_bins(args), args)
+        bins = _load_bins(args)
         with open(args.out, "w", newline="") as fh:
+            results = _estimate_bins(bins, args)
             w = csv.writer(fh)
             w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction",
                         "status"])

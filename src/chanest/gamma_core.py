@@ -17,6 +17,10 @@ EULER_GAMMA = 0.5772156649015329
 
 # Below this the truncated tail cannot be represented in double precision.
 TRUNCATION_MASS_FLOOR = 1e-300
+# Truncated masses at or above this are sampled by rejection, below it by
+# inverse CDF (see draw_truncated_gamma).
+REJECTION_MASS = 0.5
+TINY = np.finfo(float).tiny
 
 DIGAMMA_MODES = ("exact", "paper_approx")
 # Minka (2002): digamma^-1(L) ~ exp(L) + 1/2 for L >= this, else
@@ -149,15 +153,43 @@ def truncated_gamma_ppf(u, m, omega, c, mass):
     truncated mass P(m, c / omega). Elementwise over arrays and unvalidated;
     the result is clipped into [tiny, c]."""
     y = omega * special.gammaincinv(m, u * mass)
-    return np.maximum(np.minimum(y, c), np.finfo(float).tiny)
+    return np.maximum(np.minimum(y, c), TINY)
+
+
+def draw_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
+                         c: float, mass: float, size: int) -> np.ndarray:
+    """``size`` draws from Gamma(m, omega) conditioned on y <= c, given the
+    truncated mass P(m, c / omega) > 0; unvalidated, clipped into [tiny, c].
+
+    With ``mass >= REJECTION_MASS`` it proposes from the untruncated Gamma
+    in blocks sized from 1 / mass and keeps the first ``size`` proposals
+    with y <= c, in draw order: at most 2 proposals per value on average,
+    each far cheaper than one inverse CDF. Below that it takes the inverse
+    CDF of ``size`` uniforms, whose cost does not grow as the mass shrinks.
+    """
+    if mass < REJECTION_MASS:
+        return truncated_gamma_ppf(rng.random(size), m, omega, c, mass)
+    kept, need = [], size
+    while need > 0:
+        # the expected yield exceeds need by 4 sqrt(need) + 4, at least 4
+        # standard deviations, so a second block is rare
+        y = rng.gamma(m, omega, int((need + 4.0 * need ** 0.5 + 4.0) / mass))
+        y = y[y <= c][:need]
+        kept.append(y)
+        need -= y.size
+    y = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    return np.maximum(y, TINY, out=y)
 
 
 def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
                            size=None):
-    """Draw from Gamma(m, omega) conditioned on y <= c, by inverse CDF.
+    """Draw from Gamma(m, omega) conditioned on y <= c, by rejection where
+    the truncated mass is at least ``REJECTION_MASS`` and by inverse CDF
+    below it (see ``draw_truncated_gamma``).
 
-    Inverse-CDF sampling keeps the cost bounded even when the truncated mass
-    is tiny (rejection would stall there).
+    Rejection from the untruncated Gamma needs 1 / mass proposals per value,
+    so at low mass the inverse CDF, whose cost per value is fixed, is the
+    cheaper and bounded one.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and > 0, got {c}")
@@ -166,5 +198,7 @@ def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
         raise TruncationMassUnderflowError(
             f"P(m={p.m}, c/omega={c / p.omega:.3g}) = {mass:.3g}: component "
             "has no mass below the threshold")
-    y = truncated_gamma_ppf(rng.random(size), p.m, p.omega, c, mass)
-    return float(y) if np.ndim(y) == 0 else y
+    shape = () if size is None else size
+    y = draw_truncated_gamma(rng, p.m, p.omega, c, mass,
+                             int(np.prod(shape))).reshape(shape)
+    return float(y) if y.ndim == 0 else y

@@ -122,19 +122,19 @@ class PathLossLine:
         return self.A - self.B * np.asarray(ld, dtype=float)
 
 
-def write_estimates(path, rows):
-    """Write the per-bin estimates CSV from ``(ld, params, loss_fraction,
-    status)`` rows, deriving the dBm component means. ``params`` is None
-    for a failed bin, whose value fields stay empty."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ESTIMATE_FIELDS + ("status",))
-        blank = [""] * (len(ESTIMATE_FIELDS) - 1)
-        for ld, params, loss_fraction, status in rows:
-            values = blank if params is None else [repr(float(v)) for v in (
-                *params.row(), mixture_mean_db(params, 1),
-                mixture_mean_db(params, 2), loss_fraction)]
-            w.writerow([repr(float(ld)), *values, status])
+def write_estimates(fh, rows):
+    """Write the per-bin estimates CSV to the text file ``fh`` (opened with
+    ``newline=""``) from ``(ld, params, loss_fraction, status)`` rows,
+    deriving the dBm component means. ``params`` is None for a failed bin,
+    whose value fields stay empty."""
+    w = csv.writer(fh)
+    w.writerow(ESTIMATE_FIELDS + ("status",))
+    blank = [""] * (len(ESTIMATE_FIELDS) - 1)
+    for ld, params, loss_fraction, status in rows:
+        values = blank if params is None else [repr(float(v)) for v in (
+            *params.row(), mixture_mean_db(params, 1),
+            mixture_mean_db(params, 2), loss_fraction)]
+        w.writerow([repr(float(ld)), *values, status])
 
 
 def _estimate_field(rec, name, line):

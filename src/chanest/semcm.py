@@ -25,7 +25,7 @@ from .errors import (DegenerateCensorMassError, DegenerateFitError,
                      DegenerateLikelihoodError, EmptyComponentError,
                      InsufficientDataError, TruncationMassUnderflowError)
 from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR, GammaParams,
-                         solve_shape, truncated_gamma_ppf)
+                         draw_truncated_gamma, solve_shape)
 # not called here: bench/child.py traces the sampler under this module's name
 from .gamma_core import sample_truncated_gamma  # noqa: F401
 from .model import CensoredBin, MixtureParams, db_to_linear
@@ -165,12 +165,16 @@ def e_step_censored(bins: BinBatch, phi: MixtureBatch):
 def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     """Draw labels for every sample and impute the censored values.
 
-    Bin b draws from ``rngs[b]`` only, in the order random(n_obs),
-    random(r1), random(k1), random(k2), where k_j censored samples took
-    label j; a bin left with an empty component draws again, up to
-    ``EMPTY_COMPONENT_RETRIES`` times in all. Returns the completion and a
-    dict from the index of each bin that failed to the error that ends its
-    chain. A failed bin's entries in the completion are meaningless.
+    Bin b draws from ``rngs[b]`` only. Each attempt at its labels draws
+    random(n_obs), then random(r1) for the censored labels, k1 of which
+    take component 1; a bin left with an empty component draws again, up
+    to ``EMPTY_COMPONENT_RETRIES`` attempts in all. Once every bin's labels
+    are settled, each bin with censored samples, in bin order, imputes
+    component 1's k1 values, then component 2's r1 - k1, each by
+    ``draw_truncated_gamma`` with the component's truncated mass from
+    ``e_step_censored``. Returns the completion and a dict from the index
+    of each bin that failed to the error that ends its chain. A failed
+    bin's labels are meaningless and its imputed values lie in (0, c_lin].
     """
     t_obs = e_step_observed(bins, phi)
     t_cens, mass = e_step_censored(bins, phi)
@@ -187,35 +191,23 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
             "censoring threshold"))
 
     obs_end, cens_end = np.cumsum(bins.n_obs), np.cumsum(bins.r1)
-    spans = list(zip((obs_end - bins.n_obs).tolist(), obs_end.tolist(),
-                     (cens_end - bins.r1).tolist(), bins.r1.tolist(),
-                     t_cens.tolist(), mass.tolist()))
-    u_obs, u_cens = np.zeros(bins.x.size), np.zeros(int(bins.r1.sum()))
+    obs_spans = list(zip((obs_end - bins.n_obs).tolist(), obs_end.tolist()))
+    r1s, t1s = bins.r1.tolist(), t_cens.tolist()
+    u_obs = np.zeros(bins.x.size)
     k1 = np.zeros(n, np.intp)
     todo = [b for b in range(n) if b not in failed]
     with np.errstate(invalid="ignore"):
         for _ in range(EMPTY_COMPONENT_RETRIES):
             for b in todo:
-                o0, o1, c0, r1, t1, masses = spans[b]
+                o0, o1 = obs_spans[b]
                 rng = rngs[b]
                 rng.random(out=u_obs[o0:o1])
-                if not r1:
-                    continue
-                k = k1[b] = np.count_nonzero(rng.random(r1) < t1)
-                for j, (a, e) in enumerate(((c0, c0 + k), (c0 + k, c0 + r1))):
-                    if e == a:
-                        continue
-                    if masses[j] < TRUNCATION_MASS_FLOOR:
-                        failed[b] = TruncationMassUnderflowError(
-                            f"bin ld={bins.ld[b]}: component {j + 1} has "
-                            f"mass {masses[j]:.3g} below the threshold")
-                        break
-                    rng.random(out=u_cens[a:e])
+                if r1s[b]:
+                    k1[b] = np.count_nonzero(rng.random(r1s[b]) < t1s[b])
             z_obs = u_obs < t_obs
             n1 = np.bincount(owner, weights=z_obs, minlength=n) + k1
             n2 = bins.n_obs + bins.r1 - n1
-            todo = [b for b in todo
-                    if b not in failed and (n1[b] == 0 or n2[b] == 0)]
+            todo = [b for b in todo if n1[b] == 0 or n2[b] == 0]
             if not todo:
                 break
     for b in todo:
@@ -223,13 +215,25 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
             f"bin ld={bins.ld[b]}: a component stayed empty after "
             f"{EMPTY_COMPONENT_RETRIES} redraws")
 
-    # each bin's censored draws hold component 1's k1 values, then the rest
-    per_comp = np.column_stack([k1, bins.r1 - k1]).ravel()
-    y_cens = truncated_gamma_ppf(
-        u_cens, np.repeat(phi.m.ravel(), per_comp),
-        np.repeat(phi.omega.ravel(), per_comp),
-        np.repeat(bins.c_lin, bins.r1), np.repeat(mass.ravel(), per_comp))
-    z_cens = np.arange(u_cens.size) < np.repeat(cens_end - bins.r1 + k1,
+    y_cens = np.repeat(bins.c_lin, bins.r1)
+    m, omega, masses = phi.m.tolist(), phi.omega.tolist(), mass.tolist()
+    c_lin, cens_start = bins.c_lin.tolist(), (cens_end - bins.r1).tolist()
+    k1s = k1.tolist()
+    for b in np.flatnonzero(bins.r1).tolist():
+        if b in failed:
+            continue
+        c0, k = cens_start[b], k1s[b]
+        for j, (a, e) in enumerate(((c0, c0 + k), (c0 + k, c0 + r1s[b]))):
+            if e == a:
+                continue
+            if masses[b][j] < TRUNCATION_MASS_FLOOR:
+                failed[b] = TruncationMassUnderflowError(
+                    f"bin ld={bins.ld[b]}: component {j + 1} has mass "
+                    f"{masses[b][j]:.3g} below the threshold")
+                break
+            y_cens[a:e] = draw_truncated_gamma(
+                rngs[b], m[b][j], omega[b][j], c_lin[b], masses[b][j], e - a)
+    z_cens = np.arange(y_cens.size) < np.repeat(cens_end - bins.r1 + k1,
                                                 bins.r1)
     return CompletedAssignment(z_obs, z_cens, y_cens), failed
 

@@ -57,7 +57,8 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         """Parse a JSON object of Scenario fields; anything else, an unknown
         key or a value that is not a finite number of the field's type
-        (``int`` for ``n_per_bin`` and ``seed``) raises ValueError."""
+        (``int`` for ``n_per_bin`` and ``seed``) raises ValueError. An
+        integer given for a float field becomes a float."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario JSON must be an object")
@@ -71,7 +72,8 @@ class Scenario:
                     or (isinstance(value, float) and not math.isfinite(value)):
                 raise ValueError(f"scenario field {name!r} must be a finite "
                                  f"{types[name]}, got {value!r}")
-        return cls(**doc)
+        return cls(**{name: value if types[name] == "int" else float(value)
+                      for name, value in doc.items()})
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chanest import cli, ingest
+from chanest import cli, ingest, semcm
 from chanest.cli import main
 from chanest.model import read_estimates
 from chanest.simulator import Scenario
@@ -119,18 +119,28 @@ class TestMalformedLog:
         monkeypatch.setattr(ingest, "infer_losses", no_inference)
         packets = tmp_path / "packets.csv"
         packets.write_text("seq,distance_m,rssi_dbm\n" + rows)
+        out = tmp_path / "o.csv"
+        out.write_text("earlier output\n")
         rc = main([command, "--input", str(packets), "--c-db", "-109",
-                   "--out", str(tmp_path / "o.csv")])
+                   "--out", str(out)])
         assert rc == 2
         assert lines in capsys.readouterr().err
+        # a rejected log leaves an existing output untouched
+        assert out.read_text() == "earlier output\n"
 
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command, flag", [
         ("estimate", "--out"), ("estimate", "--trace"), ("compare", "--out")])
-    def test_exit_code(self, tmp_path, scenario_config, capsys, command,
-                       flag):
+    def test_exit_code(self, tmp_path, scenario_config, capsys, monkeypatch,
+                       command, flag):
         packets = _simulate(tmp_path, scenario_config)
+
+        def unreachable(*args):
+            raise AssertionError("estimated before opening the outputs")
+
+        # the outputs are opened before any chain runs
+        monkeypatch.setattr(semcm, "run_semcm_batch", unreachable)
         outs = {"--out": str(tmp_path / "o.csv"),
                 flag: str(tmp_path / "missing" / "x.csv")}
         rc = main([command, "--input", str(packets), "--c-db", "-109",

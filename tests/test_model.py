@@ -101,7 +101,8 @@ class TestEstimateCsv:
     def test_round_trip(self, tmp_path):
         phi = _phi(alpha1=0.4217)
         path = tmp_path / "est.csv"
-        write_estimates(path, [(23.5, phi, 0.125, "ok")])
+        with open(path, "w", newline="") as fh:
+            write_estimates(fh, [(23.5, phi, 0.125, "ok")])
         rows, statuses = read_estimates(path)
         assert statuses == ["ok"]
         want = {"ld": 23.5, **dict(zip(PARAM_FIELDS, phi.row())),
@@ -113,7 +114,8 @@ class TestEstimateCsv:
 
     def test_status_column(self, tmp_path):
         path = tmp_path / "est.csv"
-        write_estimates(path, [(30.0, None, 0.5, "insufficient-data")])
+        with open(path, "w", newline="") as fh:
+            write_estimates(fh, [(30.0, None, 0.5, "insufficient-data")])
         assert path.read_text().splitlines()[1] == \
             "30.0" + "," * (len(ESTIMATE_FIELDS) - 1) + ",insufficient-data"
         rows, statuses = read_estimates(path)

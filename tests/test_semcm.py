@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from chanest.errors import (DegenerateCensorMassError, DegenerateFitError,
                             EmptyComponentError, InsufficientDataError)
-from chanest.gamma_core import GammaParams, digamma, inv_reg_lower_gamma
+from chanest.gamma_core import (REJECTION_MASS, GammaParams, digamma,
+                                inv_reg_lower_gamma, reg_lower_gamma,
+                                sample_truncated_gamma)
 from chanest.model import (PARAM_FIELDS, CensoredBin, MixtureParams,
                            linear_to_db, mixture_mean_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
@@ -173,28 +175,54 @@ class TestSStep:
     @pytest.mark.parametrize("seed", range(6))
     def test_draw_order(self, seed):
         # per attempt, one bin's uniforms come in the order random(n_obs),
-        # random(r1), random(k1), random(k2); an attempt leaving a component
-        # empty is drawn again (seed 1 draws twice)
-        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], n_total=4,
-                           r1=1, c_db=linear_to_db(1.0))
-        bins, phi = BinBatch.of([bin_]), _one(_phi(m1=1.0, om1=0.5))
+        # random(r1); an attempt leaving a component empty is drawn again.
+        # Once the labels are settled, component 1's k1 values are imputed
+        # (by rejection: its mass is >= REJECTION_MASS), then component 2's
+        # (by inverse CDF: its mass is below it)
+        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], n_total=9,
+                           r1=6, c_db=linear_to_db(1.0))
+        bins = BinBatch.of([bin_])
+        phi = _one(_phi(m1=2.0, om1=0.5, m2=1.0, om2=2.5))
         out, failed = s_step(bins, phi, [np.random.default_rng(seed)])
         assert not failed
         t_obs = e_step_observed(bins, phi)
         t1, mass = e_step_censored(bins, phi)
+        assert mass[0, 0] >= REJECTION_MASS > mass[0, 1]
         rng = np.random.default_rng(seed)
         while True:
             z_obs = rng.random(3) < t_obs
-            k1 = int(np.count_nonzero(rng.random(1) < t1[0]))
-            y = [phi.omega[0, j] * inv_reg_lower_gamma(
-                    phi.m[0, j], rng.random(k) * mass[0, j])
-                 for j, k in ((0, k1), (1, 1 - k1))]
-            if 0 < z_obs.sum() + k1 < 4:
+            k1 = int(np.count_nonzero(rng.random(6) < t1[0]))
+            if 0 < z_obs.sum() + k1 < 9:
                 break
+        y = [sample_truncated_gamma(GammaParams(phi.m[0, j], phi.omega[0, j]),
+                                    bin_.c_lin, rng, k)
+             for j, k in ((0, k1), (1, 6 - k1)) if k]
         np.testing.assert_array_equal(out.z_obs, z_obs)
-        assert out.z_cens.tolist() == [True] * k1 + [False] * (1 - k1)
-        np.testing.assert_array_equal(
-            out.y_cens, np.minimum(np.concatenate(y), bin_.c_lin))
+        assert out.z_cens.tolist() == [True] * k1 + [False] * (6 - k1)
+        np.testing.assert_array_equal(out.y_cens, np.concatenate(y))
+
+    def test_imputed_values_follow_truncated_law(self):
+        # s_step's own imputation, one component on each side of
+        # REJECTION_MASS, against criterion 8's KS bound
+        masses, shapes = (0.95, 0.05), (7.0, 35.0)
+        omegas = [1.0 / inv_reg_lower_gamma(m, q)
+                  for m, q in zip(shapes, masses)]
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=20_001,
+                           r1=20_000, c_db=linear_to_db(1.0))
+        phi = _one(_phi(alpha1=0.05, m1=shapes[0], om1=omegas[0],
+                        m2=shapes[1], om2=omegas[1]))
+        out, failed = s_step(BinBatch.of([bin_]), phi,
+                             [np.random.default_rng(21)])
+        assert not failed
+        for j, block in enumerate((out.y_cens[out.z_cens],
+                                   out.y_cens[~out.z_cens])):
+            assert block.size > 5_000
+
+            def trunc_cdf(y):
+                return reg_lower_gamma(shapes[j], y / omegas[j]) / masses[j]
+
+            d, _ = stats.kstest(block, trunc_cdf)
+            assert d < 0.02
 
 
 class TestMStep:

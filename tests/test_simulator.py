@@ -24,6 +24,10 @@ class TestScenario:
     def test_json_round_trip(self):
         sc = Scenario(seed=9, interference_mean_db=-95.0)
         assert Scenario.from_json(sc.to_json()) == sc
+        # an integer JSON value for a float field is read as a float
+        sc = Scenario.from_json(json.dumps({"m1": 7, "seed": 3}))
+        assert type(sc.m1) is float and sc.m1 == 7.0
+        assert type(sc.seed) is int
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
