@@ -43,16 +43,6 @@ def mb_shape(samples) -> float:
     return mu * mu / var
 
 
-def scale_from_mean(samples, m: float) -> float:
-    """Scale completing a shape estimate: omega = sample mean / m."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 1:
-        raise ValueError("need at least 1 sample")
-    if not (math.isfinite(m) and m > 0):
-        raise ValueError(f"m must be finite and > 0, got {m}")
-    return float(x.mean()) / m
-
-
 def lse_line_fit(ld, values) -> PathLossLine:
     """Ordinary least squares of values (dB) on ld, in the A - B*ld
     convention. Needs at least 2 distinct ld values."""

@@ -136,7 +136,9 @@ def cmd_simulate(args) -> int:
 
 
 def _load_bins(args):
-    with open(args.input, newline="") as fh:
+    # undecodable bytes reach the parser, which reports their rows
+    with open(args.input, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
         log = ingest.parse_packet_log(fh)
     return ingest.bin_by_ld(np.concatenate([log, ingest.infer_losses(log)]),
                             args.ld_step, args.c_db)

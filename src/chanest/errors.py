@@ -13,29 +13,19 @@ class ParseError(ChanestError):
         self.lines = list(lines) if lines else []
 
 
-class TruncationMassUnderflowError(ChanestError):
-    """A component has essentially no probability mass below the threshold,
-    so it cannot explain censored samples."""
-
-
-class DegenerateLikelihoodError(ChanestError):
-    """Both component densities underflowed; responsibilities undefined."""
-
-
-class DegenerateCensorMassError(ChanestError):
-    """Both censored tail masses underflowed; responsibilities undefined."""
-
-
-class EmptyComponentError(ChanestError):
-    """A stochastic completion assigned zero samples to a component."""
-
-
 class InsufficientDataError(ChanestError):
     """Too few observed samples to estimate anything."""
 
 
 class DegenerateFitError(ChanestError):
-    """The SEM chain could not be continued: a component stayed empty."""
+    """A component got no samples, so the SEM chain cannot go on."""
+
+
+class NumericalFailureError(ChanestError):
+    """A bin's chain left double precision: both component densities or
+    both censored masses underflowed, a component's truncated mass is below
+    the floor, or the M-step gave a shape or scale that is not finite and
+    > 0. The message names which."""
 
 
 class DegenerateSamplesError(ChanestError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import TruncationMassUnderflowError
+from .errors import NumericalFailureError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -28,6 +28,8 @@ DIGAMMA_MODES = ("exact", "paper_approx")
 # 5 exact, 10 paper_approx over L in [-700, 700]).
 MINKA_SPLIT = -2.22
 NEWTON_STEPS = 50
+# relative residual at which a solve_shape lane stops
+SHAPE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,6 @@ class GammaParams:
     @property
     def mean(self) -> float:
         return self.m * self.omega
-
-
-def gamma_logpdf(y, p: GammaParams):
-    """Log-density of Gamma(m, omega) at linear power y (scalar or array)."""
-    y = np.asarray(y, dtype=float)
-    if np.any(~np.isfinite(y)) or np.any(y <= 0):
-        raise ValueError("y must be finite and > 0")
-    z = y / p.omega
-    out = (p.m - 1.0) * np.log(z) - z - special.gammaln(p.m) - math.log(p.omega)
-    return float(out) if out.ndim == 0 else out
 
 
 def reg_lower_gamma(a: float, x):
@@ -111,15 +103,15 @@ def digamma(x, mode: str = "exact"):
     return float(out) if out.ndim == 0 else out
 
 
-def solve_shape(L, mode: str = "exact", tol: float = 1e-12):
+def solve_shape(L, mode: str = "exact"):
     """Solve digamma(m) = L for m > 0, elementwise over a scalar or array L.
 
     Digamma (either mode) is strictly increasing and concave on (0, inf)
     with range (-inf, inf), so every lane has a unique root. Newton starts
     from Minka's (2002) inverse-digamma approximation, and a lane stops as
-    soon as |digamma(m) - L| <= tol * max(1, |L|): its root never depends on
-    the other lanes. An L above ln(float max) ~ 709.78 has no finite root
-    and gives inf.
+    soon as |digamma(m) - L| <= SHAPE_TOL * max(1, |L|): its root never
+    depends on the other lanes. An L above ln(float max) ~ 709.78 has no
+    finite root and gives inf.
     """
     L = np.asarray(L, dtype=float)
     if not np.all(np.isfinite(L)):
@@ -134,26 +126,13 @@ def solve_shape(L, mode: str = "exact", tol: float = 1e-12):
     for _ in range(NEWTON_STEPS):
         x, want = m[lane], target[lane]
         f = _psi(x, mode) - want
-        moving = np.abs(f) > tol * np.maximum(1.0, np.abs(want))
+        moving = np.abs(f) > SHAPE_TOL * np.maximum(1.0, np.abs(want))
         lane, x = lane[moving], x[moving]
         if not lane.size:
             break
         m[lane] = x - f[moving] / _psi_deriv(x, mode)
     out = m.reshape(L.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def sample_gamma(p: GammaParams, rng: np.random.Generator, size=None):
-    """Draw from Gamma(m, omega)."""
-    return rng.gamma(p.m, p.omega, size)
-
-
-def truncated_gamma_ppf(u, m, omega, c, mass):
-    """Quantile u of Gamma(m, omega) conditioned on y <= c, given the
-    truncated mass P(m, c / omega). Elementwise over arrays and unvalidated;
-    the result is clipped into [tiny, c]."""
-    y = omega * special.gammaincinv(m, u * mass)
-    return np.maximum(np.minimum(y, c), TINY)
 
 
 def draw_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
@@ -168,7 +147,8 @@ def draw_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
     CDF of ``size`` uniforms, whose cost does not grow as the mass shrinks.
     """
     if mass < REJECTION_MASS:
-        return truncated_gamma_ppf(rng.random(size), m, omega, c, mass)
+        y = omega * special.gammaincinv(m, rng.random(size) * mass)
+        return np.maximum(np.minimum(y, c), TINY)
     kept, need = [], size
     while need > 0:
         # the expected yield exceeds need by 4 sqrt(need) + 4, at least 4
@@ -195,7 +175,7 @@ def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
         raise ValueError(f"c must be finite and > 0, got {c}")
     mass = reg_lower_gamma(p.m, c / p.omega)
     if mass < TRUNCATION_MASS_FLOOR:
-        raise TruncationMassUnderflowError(
+        raise NumericalFailureError(
             f"P(m={p.m}, c/omega={c / p.omega:.3g}) = {mass:.3g}: component "
             "has no mass below the threshold")
     shape = () if size is None else size

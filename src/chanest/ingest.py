@@ -21,6 +21,9 @@ LOG_DTYPE = np.dtype([("seq", np.int64), ("distance_m", np.float64),
 # A larger step is a corrupt seq: inferring its losses would allocate one
 # row per missing number.
 MAX_SEQ_GAP = 10_000
+# Largest RSSI accepted: its linear power 10 ** (rssi / 10) ~ 1.78e308 is a
+# float; just above 10 * log10(float max) ~ 3082.547 dBm it overflows.
+MAX_RSSI_DBM = 3082.5
 
 
 def write_packet_log(stream, log: np.ndarray) -> None:
@@ -34,36 +37,45 @@ def write_packet_log(stream, log: np.ndarray) -> None:
 
 def parse_packet_log(stream) -> np.ndarray:
     """Parse a packet-log CSV into a log in file order. Comment lines start
-    with '#'. Malformed rows (a non-finite distance or RSSI among them),
-    duplicate seqs and seq gaps above ``MAX_SEQ_GAP`` are reported together
-    with their line numbers."""
+    with '#'. Malformed rows (a non-finite distance, a non-finite RSSI or
+    one above ``MAX_RSSI_DBM`` among them), duplicate seqs and seq gaps
+    above ``MAX_SEQ_GAP`` are reported together with their line numbers.
+    A field longer than the ``csv`` module's limit is a ParseError naming
+    its line. Open a file with ``errors="surrogateescape"`` so that bytes
+    which are not UTF-8 reach the parser and make their row malformed."""
     seq, dist, rssi, lines = array("q"), array("d"), array("d"), array("q")
     bad = []
     header_ok = False
-    for lineno, row in enumerate(csv.reader(stream), start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        if not header_ok:
-            if [c.strip() for c in row] != HEADER:
-                raise ParseError(
-                    f"line {lineno}: expected header {','.join(HEADER)}",
-                    lines=[lineno])
-            header_ok = True
-            continue
-        try:
-            s, d, r = row
-            s, d = int(s), float(d)
-            r = float(r) if r.strip() != "" else None
-            if not (math.isfinite(d) and d > 0
-                    and (r is None or math.isfinite(r))):
-                raise ValueError("distance must be positive, values finite")
-            seq.append(s)  # OverflowError outside int64
-        except (ValueError, OverflowError):
-            bad.append(lineno)
-            continue
-        dist.append(d)
-        rssi.append(math.nan if r is None else r)
-        lines.append(lineno)
+    reader = csv.reader(stream)
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or (row[0].lstrip().startswith("#")):
+                continue
+            if not header_ok:
+                if [c.strip() for c in row] != HEADER:
+                    raise ParseError(
+                        f"line {lineno}: expected header {','.join(HEADER)}",
+                        lines=[lineno])
+                header_ok = True
+                continue
+            try:
+                s, d, r = row
+                s, d = int(s), float(d)
+                r = float(r) if r.strip() != "" else None
+                if not (math.isfinite(d) and d > 0 and (
+                        r is None or -math.inf < r <= MAX_RSSI_DBM)):
+                    raise ValueError("distance must be positive, RSSI "
+                                     "finite and at most MAX_RSSI_DBM")
+                seq.append(s)  # OverflowError outside int64
+            except (ValueError, OverflowError):
+                bad.append(lineno)
+                continue
+            dist.append(d)
+            rssi.append(math.nan if r is None else r)
+            lines.append(lineno)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}",
+                         lines=[reader.line_num]) from None
     if not header_ok:
         raise ParseError("missing header row", lines=[1])
 

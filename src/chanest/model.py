@@ -118,9 +118,6 @@ class PathLossLine:
         if not (math.isfinite(self.A) and math.isfinite(self.B)):
             raise ValueError("A and B must be finite")
 
-    def value_at(self, ld):
-        return self.A - self.B * np.asarray(ld, dtype=float)
-
 
 def write_estimates(fh, rows):
     """Write the per-bin estimates CSV to the text file ``fh`` (opened with
@@ -153,16 +150,23 @@ def _estimate_field(rec, name, line):
 
 def read_estimates(path):
     """Read an estimates CSV back into (list of dict rows, statuses). An
-    empty field reads as NaN; any other value that is not a finite number
-    raises ValueError naming its line."""
+    empty field reads as NaN; any other value that is not a finite number,
+    or a field longer than the ``csv`` module's limit, raises ValueError
+    naming its line."""
     rows, statuses = [], []
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
-        missing = set(ESTIMATE_FIELDS) - set(r.fieldnames or ())
-        if missing:
-            raise ValueError(f"estimates CSV missing columns: {sorted(missing)}")
-        for rec in r:
-            statuses.append(rec.get("status", "ok"))
-            rows.append({f: _estimate_field(rec, f, r.line_num)
-                         for f in ESTIMATE_FIELDS})
+        try:
+            missing = set(ESTIMATE_FIELDS) - set(r.fieldnames or ())
+            if missing:
+                raise ValueError(
+                    f"estimates CSV missing columns: {sorted(missing)}")
+            for rec in r:
+                statuses.append(rec.get("status", "ok"))
+                rows.append({f: _estimate_field(rec, f, r.line_num)
+                             for f in ESTIMATE_FIELDS})
+        except csv.Error as exc:
+            # DictReader.line_num lags a row that failed to parse
+            raise ValueError(f"estimates CSV line {r.reader.line_num}: "
+                             f"{exc}") from None
     return rows, statuses

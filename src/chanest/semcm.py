@@ -21,9 +21,8 @@ import numpy as np
 from scipy import special
 
 from . import baselines
-from .errors import (DegenerateCensorMassError, DegenerateFitError,
-                     DegenerateLikelihoodError, EmptyComponentError,
-                     InsufficientDataError, TruncationMassUnderflowError)
+from .errors import (DegenerateFitError, InsufficientDataError,
+                     NumericalFailureError)
 from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR, GammaParams,
                          draw_truncated_gamma, solve_shape)
 # not called here: bench/child.py traces the sampler under this module's name
@@ -31,20 +30,19 @@ from .gamma_core import sample_truncated_gamma  # noqa: F401
 from .model import CensoredBin, MixtureParams, db_to_linear
 
 EMPTY_COMPONENT_RETRIES = 10
+# lowest mixing weight the M-step stores for either component
+ALPHA_FLOOR = 0.02
 
 
 @dataclass(frozen=True)
 class SemConfig:
     iterations: int = 50
     burn_window: int = 10
-    alpha_floor: float = 0.02
     digamma_mode: str = "exact"
 
     def __post_init__(self):
         if not (1 <= self.burn_window <= self.iterations):
             raise ValueError("need 1 <= burn_window <= iterations")
-        if not (0.0 < self.alpha_floor < 0.5):
-            raise ValueError("need 0 < alpha_floor < 0.5")
         if self.digamma_mode not in DIGAMMA_MODES:
             raise ValueError(f"unknown digamma mode {self.digamma_mode!r}")
 
@@ -182,11 +180,11 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     failed = {}
     owner = bins.owner
     for b in np.unique(owner[np.isnan(t_obs)]).tolist():
-        failed[b] = DegenerateLikelihoodError(
+        failed[b] = NumericalFailureError(
             f"bin ld={bins.ld[b]}: both component densities underflowed at "
             "some sample")
     for b in np.flatnonzero((bins.r1 > 0) & ~np.isfinite(t_cens)).tolist():
-        failed.setdefault(b, DegenerateCensorMassError(
+        failed.setdefault(b, NumericalFailureError(
             f"bin ld={bins.ld[b]}: no component carries mass below the "
             "censoring threshold"))
 
@@ -227,7 +225,7 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
             if e == a:
                 continue
             if masses[b][j] < TRUNCATION_MASS_FLOOR:
-                failed[b] = TruncationMassUnderflowError(
+                failed[b] = NumericalFailureError(
                     f"bin ld={bins.ld[b]}: component {j + 1} has mass "
                     f"{masses[b][j]:.3g} below the threshold")
                 break
@@ -246,10 +244,10 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     Scales use the previous shapes (omega_i = omega_im / m_i^prev); the new
     shapes then solve digamma(m) = weighted mean of ln(x / omega_i^new), in
     one ``solve_shape`` call for the batch. Scale updates use the unclamped
-    weights; only the stored alpha is clamped away from {0, 1}. A bin whose
-    update is undefined gets NaN parameters. A component without samples
-    raises ``EmptyComponentError``, or with ``on_empty="keep"`` keeps its
-    previous parameters.
+    weights; only the stored alpha is clamped into
+    [ALPHA_FLOOR, 1 - ALPHA_FLOOR]. A bin whose update is undefined gets NaN
+    parameters. A component without samples raises ``DegenerateFitError``,
+    or with ``on_empty="keep"`` keeps its previous parameters.
     """
     n = len(bins)
     if completed.z_obs.shape != bins.x.shape \
@@ -266,7 +264,7 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     counts = per_component(None, None)
     empty = counts == 0
     if empty.any() and on_empty != "keep":
-        raise EmptyComponentError(
+        raise DegenerateFitError(
             f"component(s) got no samples in {int(empty.any(1).sum())} bins")
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = per_component(bins.x, completed.y_cens) / counts / phi_prev.m
@@ -278,8 +276,8 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     if on_empty == "keep":
         m = np.where(empty, phi_prev.m, m)
         omega = np.where(empty, phi_prev.omega, omega)
-    alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1),
-                     config.alpha_floor, 1.0 - config.alpha_floor)
+    alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,
+                     1.0 - ALPHA_FLOOR)
     return MixtureBatch(alpha1, m, omega)
 
 
@@ -307,8 +305,8 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
 
     Returns one entry per bin: its ``SemTrace``, or the error that ended its
     chain (``InsufficientDataError``, ``DegenerateFitError`` when a
-    component stayed empty, otherwise a numerical failure). A failed bin
-    leaves the batch; the other bins run on unchanged.
+    component stayed empty, otherwise ``NumericalFailureError``). A failed
+    bin leaves the batch; the other bins run on unchanged.
     """
     out = [None] * len(bins)
     live = []
@@ -349,7 +347,7 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
             & (nxt.omega < np.inf)
         bad = np.flatnonzero(~valid.all(axis=1)).tolist()
         if bad:
-            keep, _, _ = drop({i: ValueError(
+            keep, _, _ = drop({i: NumericalFailureError(
                 f"bin ld={batch.ld[i]}: M-step gave a shape or scale that "
                 "is not finite and > 0") for i in bad})
             nxt = nxt.take(keep)

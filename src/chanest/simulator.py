@@ -14,9 +14,10 @@ from .gamma_core import GammaParams
 from .ingest import LOG_DTYPE
 from .model import CensoredBin, MixtureParams, db_to_linear
 
-SCENARIO_FIELDS = ("ld_start", "ld_end", "ld_step", "n_per_bin", "m1", "m2",
-                   "pl_a", "pl_b", "interference_mean_db", "mixing_alpha1",
-                   "c_db", "seed")
+# Most packets (grid bins x n_per_bin) a scenario may hold; the largest
+# benchmark scenario has 380 000. A larger one is rejected before any
+# array is sized from it.
+MAX_PACKETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,20 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"scenario field {f.name!r} must be finite, "
+                                 f"got {value!r}")
         if self.ld_end < self.ld_start or self.ld_step <= 0:
             raise ValueError("empty or invalid ld grid")
         if self.n_per_bin < 1:
             raise ValueError("n_per_bin must be >= 1")
+        steps = (self.ld_end - self.ld_start) / self.ld_step
+        if steps >= MAX_PACKETS \
+                or (round(steps) + 1) * self.n_per_bin > MAX_PACKETS:
+            raise ValueError(f"scenario has more than MAX_PACKETS = "
+                             f"{MAX_PACKETS} packets (grid bins x n_per_bin)")
         if self.m1 <= 0 or self.m2 <= 0:
             raise ValueError("shapes must be > 0")
         if not (0.0 <= self.mixing_alpha1 <= 1.0):
@@ -56,21 +67,21 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         """Parse a JSON object of Scenario fields; anything else, an unknown
-        key or a value that is not a finite number of the field's type
-        (``int`` for ``n_per_bin`` and ``seed``) raises ValueError. An
-        integer given for a float field becomes a float."""
+        key or a value that is not a number of the field's type (``int``
+        for ``n_per_bin`` and ``seed``) raises ValueError, as does any value
+        ``Scenario`` itself rejects. An integer given for a float field
+        becomes a float."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario JSON must be an object")
-        unknown = set(doc) - set(SCENARIO_FIELDS)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        types = {f.name: f.type for f in fields(cls)}
         for name, value in doc.items():
             kinds = int if types[name] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds) \
-                    or (isinstance(value, float) and not math.isfinite(value)):
-                raise ValueError(f"scenario field {name!r} must be a finite "
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"scenario field {name!r} must be a "
                                  f"{types[name]}, got {value!r}")
         return cls(**{name: value if types[name] == "int" else float(value)
                       for name, value in doc.items()})

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chanest.baselines import (lse_line_fit, mb_shape, ml_minus_shape,
-                               scale_from_mean)
+from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.errors import DegenerateSamplesError, RankDeficientFitError
 from chanest.simulator import Scenario, generate_scenario
 
@@ -68,23 +67,6 @@ class TestMbShape:
     def test_degenerate(self):
         with pytest.raises(DegenerateSamplesError):
             mb_shape([1.0, 1.0])
-
-
-class TestScaleFromMean:
-    def test_trivial(self):
-        assert scale_from_mean([14.0], 7.0) == 2.0
-        assert scale_from_mean([1.0], 1.0) == 1.0
-
-    def test_monte_carlo_consistency(self):
-        rng = np.random.default_rng(6)
-        draws = rng.gamma(7.0, 2.0, 100_000)
-        assert scale_from_mean(draws, 7.0) == pytest.approx(2.0, rel=0.02)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            scale_from_mean([], 1.0)
-        with pytest.raises(ValueError):
-            scale_from_mean([1.0], 0.0)
 
 
 class TestLseLineFit:

@@ -1,15 +1,22 @@
+import contextlib
+import csv
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanest import cli, ingest, semcm
+from chanest import cli, ingest, semcm, simulator
 from chanest.cli import main
 from chanest.model import read_estimates
 from chanest.simulator import Scenario
@@ -60,6 +67,8 @@ class TestSimulate:
         pytest.param({"m1": "7"}, id="str-float"),
         pytest.param({"seed": True}, id="bool-int"),
         pytest.param({"m1": float("nan")}, id="nan-float"),
+        # ~9e9 grid bins: rejected before the grid is built
+        pytest.param({"ld_step": 1e-9}, id="too-many-packets"),
     ])
     def test_bad_config_schema(self, tmp_path, capsys, doc):
         cfg = tmp_path / "bad.json"
@@ -110,6 +119,13 @@ class TestMalformedLog:
         ("1,200,-90\n10000000000,200,-91\n", "[2, 3]"),  # corrupt seq
         ("1,200,-90\n2,200,inf\n3,200,nan\n", "[3, 4]"),
         ("", "no packet rows"),
+        # a byte that is not UTF-8, read back as a lone surrogate
+        pytest.param("1,200,-90\n2,200,-9\udcff1\n", "[3]",
+                     id="undecodable"),
+        pytest.param("1,200,-90\n2,200,4000\n", "[3]", id="rssi-overflow"),
+        pytest.param("1,200,-90\n2,200," + "9" * csv.field_size_limit()
+                     + "9\n", "line 3: field larger than field limit",
+                     id="oversized-field"),
     ])
     def test_exit_code_and_lines(self, tmp_path, monkeypatch, capsys,
                                  command, rows, lines):
@@ -118,7 +134,8 @@ class TestMalformedLog:
 
         monkeypatch.setattr(ingest, "infer_losses", no_inference)
         packets = tmp_path / "packets.csv"
-        packets.write_text("seq,distance_m,rssi_dbm\n" + rows)
+        packets.write_bytes(("seq,distance_m,rssi_dbm\n" + rows).encode(
+            errors="surrogateescape"))
         out = tmp_path / "o.csv"
         out.write_text("earlier output\n")
         rc = main([command, "--input", str(packets), "--c-db", "-109",
@@ -127,6 +144,68 @@ class TestMalformedLog:
         assert lines in capsys.readouterr().err
         # a rejected log leaves an existing output untouched
         assert out.read_text() == "earlier output\n"
+
+
+def _small_log_lines():
+    text = io.StringIO()
+    ingest.write_packet_log(text, simulator.packet_rows(Scenario(
+        ld_start=23.0, ld_end=24.0, n_per_bin=30, seed=5)))
+    return text.getvalue().encode().split(b"\r\n")
+
+
+SMALL_LOG = _small_log_lines()
+# RSSI values whose linear power does not fit a float, either sign
+HUGE_RSSI = st.floats(ingest.MAX_RSSI_DBM, 1e308, exclude_min=True) \
+    | st.floats(-1e308, -ingest.MAX_RSSI_DBM, exclude_max=True)
+LINE = st.integers(0, len(SMALL_LOG) - 1)
+MUTATION = st.one_of(
+    # a byte, or a count of digits over the csv module's field limit (a
+    # count keeps the repr of a failing example short)
+    st.tuples(st.just("insert"), LINE, st.integers(0, 40), st.sampled_from(
+        [b"\xff", b"\x00", b'"', csv.field_size_limit() + 1])),
+    st.tuples(st.just("rssi"), LINE, HUGE_RSSI),
+    st.tuples(st.just("drop"), LINE),
+    st.tuples(st.just("duplicate"), LINE))
+
+
+def _mutate(lines, mutation):
+    kind, at, *arg = mutation
+    at = min(at, len(lines) - 1)  # earlier drops shorten the log
+    line = lines[at]
+    if kind == "insert":
+        text = arg[1] if isinstance(arg[1], bytes) else b"7" * arg[1]
+        lines[at] = line[:arg[0]] + text + line[arg[0]:]
+    elif kind == "rssi":
+        lines[at] = line.rpartition(b",")[0] + b"," + repr(arg[0]).encode()
+    elif kind == "drop":
+        del lines[at]
+    else:
+        lines.insert(at, line)
+
+
+class TestAnyMalformedLog:
+    """Any mutation of a valid log exits 0 or 2, never with a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    def test_exit_code(self, mutations):
+        lines = list(SMALL_LOG)
+        for mutation in mutations:
+            _mutate(lines, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            packets, out = Path(tmp, "packets.csv"), Path(tmp, "o.csv")
+            packets.write_bytes(b"\r\n".join(lines))
+            out.write_text("earlier output\n")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")  # a warning fails too
+                rc = main(["estimate", "--input", str(packets), "--c-db",
+                           "-109", "--iters", "3", "--burn", "1",
+                           "--out", str(out)])
+            assert rc in (0, 2)
+            if rc == 2:
+                assert err.getvalue().startswith("chanest estimate:")
+                assert out.read_text() == "earlier output\n"
 
 
 class TestUnwritableOutput:
@@ -220,6 +299,17 @@ class TestFit:
         rc = main(["fit", "--input", str(est)])
         assert rc == 2
         assert "line 3: mean1_db" in capsys.readouterr().err
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        est = tmp_path / "est.csv"
+        est.write_text("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
+                       "loss_fraction,status\n"
+                       "23.0,0.5,7,1,35,1,-85,-97,0.0,ok\n"
+                       f"24.0,0.5,7,1,35,1,-88,-97,0.0,{'x' * 200_000}\n")
+        rc = main(["fit", "--input", str(est)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "chanest fit: estimates CSV line 3: field larger")
 
     def test_exclude_interval(self, tmp_path):
         est = tmp_path / "est.csv"

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from chanest.errors import TruncationMassUnderflowError
+from chanest.errors import NumericalFailureError
 from chanest.gamma_core import (EULER_GAMMA, GammaParams, digamma,
-                                gamma_logpdf, inv_reg_lower_gamma,
-                                reg_lower_gamma, sample_gamma,
+                                inv_reg_lower_gamma, reg_lower_gamma,
                                 sample_truncated_gamma, solve_shape)
 
 
@@ -23,46 +22,6 @@ class TestGammaParams:
     def test_rejects_bad_params(self, m, omega):
         with pytest.raises(ValueError):
             GammaParams(m, omega)
-
-
-class TestLogpdf:
-    def test_exponential_case(self):
-        # m=1, omega=1 at y=1: density e^-1
-        assert gamma_logpdf(1.0, GammaParams(1.0, 1.0)) == pytest.approx(-1.0)
-
-    def test_mode_identity(self):
-        # density peaks at (m-1)*omega for m>1, checked by finite differences
-        p = GammaParams(7.0, 2.0)
-        mode = (p.m - 1.0) * p.omega
-        h = 1e-5
-        deriv = (gamma_logpdf(mode + h, p) - gamma_logpdf(mode - h, p)) / (2 * h)
-        assert abs(deriv) < 1e-6
-        assert gamma_logpdf(mode, p) > gamma_logpdf(mode * 1.1, p)
-
-    def test_against_high_precision_value(self):
-        # frozen from a 40-digit mpmath evaluation of the closed form
-        assert gamma_logpdf(10.0, GammaParams(7.0, 2.0)) == pytest.approx(
-            -2.6157709179654440569, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [GammaParams(0.7, 1.3), GammaParams(7, 2),
-                                   GammaParams(35, 0.01)])
-    def test_normalizes(self, p):
-        total, _ = integrate.quad(lambda y: math.exp(gamma_logpdf(y, p)),
-                                  0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_nonpositive_y(self):
-        with pytest.raises(ValueError):
-            gamma_logpdf(0.0, GammaParams(1.0, 1.0))
-        with pytest.raises(ValueError):
-            gamma_logpdf([1.0, -2.0], GammaParams(1.0, 1.0))
-
-    def test_vectorized(self):
-        p = GammaParams(3.0, 2.0)
-        ys = np.array([0.5, 1.0, 4.0])
-        out = gamma_logpdf(ys, p)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(gamma_logpdf(1.0, p))
 
 
 class TestRegLowerGamma:
@@ -192,24 +151,6 @@ class TestSolveShape:
         assert batch.tolist() == [solve_shape(L, mode) for L in Ls]
 
 
-class TestSampleGamma:
-    def test_monte_carlo_mean(self):
-        rng = np.random.default_rng(7)
-        draws = sample_gamma(GammaParams(7.0, 2.0), rng, 100_000)
-        assert abs(draws.mean() - 14.0) / 14.0 < 0.02
-
-    def test_exponential_distribution(self):
-        rng = np.random.default_rng(8)
-        draws = sample_gamma(GammaParams(1.0, 3.0), rng, 100_000)
-        d, _ = stats.kstest(draws, stats.expon(scale=3.0).cdf)
-        assert d < 0.02
-
-    def test_determinism(self):
-        a = sample_gamma(GammaParams(2, 1), np.random.default_rng(5), 100)
-        b = sample_gamma(GammaParams(2, 1), np.random.default_rng(5), 100)
-        np.testing.assert_array_equal(a, b)
-
-
 class TestSampleTruncatedGamma:
     def test_no_truncation_limit(self):
         p = GammaParams(3.0, 1.0)
@@ -242,5 +183,5 @@ class TestSampleTruncatedGamma:
     def test_underflow_raises(self):
         # a narrow m=35 component far above the threshold has no tail mass
         p = GammaParams(35.0, 1.0)
-        with pytest.raises(TruncationMassUnderflowError):
+        with pytest.raises(NumericalFailureError):
             sample_truncated_gamma(p, 1e-9, np.random.default_rng(3), 10)

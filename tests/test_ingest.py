@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chanest.errors import ParseError
-from chanest.ingest import (LOG_DTYPE, MAX_SEQ_GAP, bin_by_ld, infer_losses,
-                            parse_packet_log, write_packet_log)
+from chanest.ingest import (LOG_DTYPE, MAX_RSSI_DBM, MAX_SEQ_GAP, bin_by_ld,
+                            infer_losses, parse_packet_log, write_packet_log)
 
 
 def _parse(text):
@@ -63,10 +64,21 @@ class TestParsePacketLog:
     @pytest.mark.parametrize("row", [
         "x,100,-90", "2,-5,-90", "2,inf,-90", "2,nan,-90", "2,100,inf",
         "2,100,-inf", "2,100,nan", "2,100,-90,0", "2,100", "2.5,100,-90",
-        f"{2 ** 63},100,-90"])
+        f"{2 ** 63},100,-90", "2,100,3082.6", "2,100,-9\udcff0"])
     def test_malformed_row_kinds(self, row):
         with pytest.raises(ParseError) as err:
             _parse(HEADER + "1,100,-90\n" + row + "\n3,100,-80\n")
+        assert err.value.lines == [3]
+
+    def test_rssi_ceiling(self):
+        log = _parse(HEADER + f"1,100,{MAX_RSSI_DBM!r}\n")
+        with np.errstate(over="raise"):
+            assert np.isfinite(10.0 ** (log["rssi_dbm"] / 10.0)).all()
+
+    def test_oversized_field(self):
+        field = "9" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError, match="line 3: field larger") as err:
+            _parse(HEADER + "1,100,-90\n2,100," + field + "\n3,100,-80\n")
         assert err.value.lines == [3]
 
     def test_duplicate_seq(self):
@@ -93,13 +105,15 @@ class TestParsePacketLog:
 
 
 _rssi = st.one_of(st.just(math.nan),
-                  st.floats(allow_nan=False, allow_infinity=False))
+                  st.floats(max_value=MAX_RSSI_DBM, allow_nan=False,
+                            allow_infinity=False))
 
 
 @st.composite
 def _logs(draw):
     """Valid logs: distinct seqs no more than MAX_SEQ_GAP apart, in any
-    order, positive finite distances, finite or NaN RSSI."""
+    order, positive finite distances, NaN RSSI or a finite one at most
+    MAX_RSSI_DBM."""
     n = draw(st.integers(1, 30))
     start = draw(st.integers(-2 ** 62, 2 ** 62))
     steps = draw(st.lists(st.integers(1, MAX_SEQ_GAP), min_size=n - 1,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chanest.gamma_core import GammaParams, sample_gamma
+from chanest.gamma_core import GammaParams
 from chanest.model import (ESTIMATE_FIELDS, PARAM_FIELDS, CensoredBin,
                            MixtureParams, PathLossLine, db_to_linear,
                            linear_to_db, mixture_mean_db, read_estimates,
@@ -60,7 +60,8 @@ class TestMixtureMeanDb:
 
     def test_monte_carlo_consistency(self):
         phi = _phi()
-        draws = sample_gamma(phi.comp1, np.random.default_rng(1), 100_000)
+        draws = np.random.default_rng(1).gamma(phi.comp1.m, phi.comp1.omega,
+                                               100_000)
         assert mixture_mean_db(phi, 1) == pytest.approx(
             linear_to_db(draws.mean()), abs=10 * np.log10(1.02))
 
@@ -88,10 +89,6 @@ class TestCensoredBin:
 
 
 class TestPathLossLine:
-    def test_value(self):
-        line = PathLossLine(A=-16.0, B=3.0)
-        assert line.value_at(23.0) == pytest.approx(-85.0)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PathLossLine(A=np.nan, B=3.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
                             parse_packet_log, write_packet_log)
 from chanest.model import linear_to_db
-from chanest.simulator import (Scenario, censoring_probability,
+from chanest.simulator import (MAX_PACKETS, Scenario, censoring_probability,
                                generate_scenario, packet_rows,
                                signal_omega_at, true_params_at)
 
@@ -36,6 +36,25 @@ class TestScenario:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             Scenario(ld_start=30.0, ld_end=20.0)
+
+    @pytest.mark.parametrize("field", ["c_db", "m1", "pl_a", "ld_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field!r} must be finite"):
+            Scenario(**{field: value})
+
+    def test_packet_limit(self):
+        # one bin, so the count is n_per_bin alone
+        assert Scenario(ld_start=23.0, ld_end=23.0,
+                        n_per_bin=MAX_PACKETS).ld_grid.size == 1
+        with pytest.raises(ValueError, match="MAX_PACKETS"):
+            Scenario(ld_start=23.0, ld_end=23.0, n_per_bin=MAX_PACKETS + 1)
+        # 19 bins x 1000: over the limit only with the bins counted
+        with pytest.raises(ValueError, match="MAX_PACKETS"):
+            Scenario(n_per_bin=MAX_PACKETS // 19 + 1)
+        for step in (1e-9, 5e-324):  # ~9e9 and an infinite number of bins
+            with pytest.raises(ValueError, match="MAX_PACKETS"):
+                Scenario(ld_step=step)
 
 
 class TestSignalOmega:
