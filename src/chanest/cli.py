@@ -52,6 +52,15 @@ def _positive_float(text):
     return value
 
 
+def _threshold_db(text):
+    value = _finite_float(text)
+    with np.errstate(over="ignore"):
+        if not 0.0 < model.db_to_linear(value) < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a threshold with a finite linear power > 0: {text}")
+    return value
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _estimation_flags(sp):
     sp.add_argument("--input", required=True, help="packet-log CSV")
-    sp.add_argument("--c-db", type=_finite_float, required=True,
+    sp.add_argument("--c-db", type=_threshold_db, required=True,
                     help="censoring threshold in dBm")
     sp.add_argument("--ld-step", type=_positive_float, default=0.5)
     sp.add_argument("--iters", type=_positive_int, default=50)
@@ -122,14 +131,13 @@ def cmd_simulate(args) -> int:
             sc = simulator.Scenario(**{**sc.__dict__, "seed": args.seed})
         with open(args.out, "w", newline="") as fh:
             ingest.write_packet_log(fh, simulator.packet_rows(sc))
-        _, truth, _ = simulator.generate_scenario(sc)
         with open(args.out + ".truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["ld", *model.PARAM_FIELDS, "mean1_db", "mean2_db"])
-            for ld, phi, m1db, m2db in zip(truth.lds, truth.params,
-                                           truth.mean1_db, truth.mean2_db):
-                w.writerow([repr(v) for v in (float(ld), *phi.row(),
-                                              float(m1db), float(m2db))])
+            for ld in sc.ld_grid.tolist():
+                w.writerow([repr(v) for v in (
+                    ld, *simulator.true_params_at(ld, sc).row(),
+                    sc.pl_a - sc.pl_b * ld, float(sc.interference_mean_db))])
     except (OSError, ValueError) as exc:
         return _data_error("simulate", exc)
     return EXIT_OK

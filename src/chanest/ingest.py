@@ -12,7 +12,7 @@ from array import array
 import numpy as np
 
 from .errors import ParseError
-from .model import CensoredBin
+from .model import CensoredBin, db_to_linear
 
 HEADER = ["seq", "distance_m", "rssi_dbm"]
 LOG_DTYPE = np.dtype([("seq", np.int64), ("distance_m", np.float64),
@@ -123,17 +123,19 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     """Group a log, received and lost rows together, into log-distance bins
     of width ld_step.
 
-    Received samples at or below c_db count as censored, matching the
-    left-censoring model. Bin 'ld' is the lower edge of the cell. Each bin's
-    observed samples stay in log order.
+    A row counts as received when its linear power is above
+    ``db_to_linear(c_db)``, the comparison ``CensoredBin`` makes; any other
+    row, a power that rounds onto the threshold among them, counts as
+    censored, matching the left-censoring model. Bin 'ld' is the lower edge
+    of the cell. Each bin's observed samples stay in log order.
     """
     if ld_step <= 0:
         raise ValueError("ld_step must be > 0")
     cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
     order = np.argsort(cell, kind="stable")
     cell, rssi = cell[order], log["rssi_dbm"][order]
-    received = rssi > c_db  # False for a lost (NaN) row
     power = 10.0 ** (rssi / 10.0)
+    received = power > db_to_linear(c_db)  # False for a lost (NaN) row
     keys, first = np.unique(cell, return_index=True)
     bins = []
     for i, p, ok in zip(keys.tolist(), np.split(power, first[1:]),

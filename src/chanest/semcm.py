@@ -85,15 +85,12 @@ class BinBatch:
     def __len__(self) -> int:
         return self.n_obs.size
 
-    def take(self, keep):
-        """The bins where the mask ``keep`` holds, with the masks it selects
-        over the observed and the censored samples."""
-        obs, cens = np.repeat(keep, self.n_obs), np.repeat(keep, self.r1)
-        n_obs = self.n_obs[keep]
+    def take(self, keep) -> "BinBatch":
+        """The bins where the mask ``keep`` holds."""
+        obs, n_obs = np.repeat(keep, self.n_obs), self.n_obs[keep]
         return BinBatch(ld=self.ld[keep], x=self.x[obs], lnx=self.lnx[obs],
                         owner=np.repeat(np.arange(n_obs.size), n_obs),
-                        n_obs=n_obs, r1=self.r1[keep],
-                        c_lin=self.c_lin[keep]), obs, cens
+                        n_obs=n_obs, r1=self.r1[keep], c_lin=self.c_lin[keep])
 
 
 @dataclass(frozen=True)
@@ -237,17 +234,16 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
 
 
 def m_step(bins: BinBatch, completed: CompletedAssignment,
-           phi_prev: MixtureBatch, config: SemConfig,
-           on_empty: str = "error") -> MixtureBatch:
+           phi_prev: MixtureBatch, config: SemConfig) -> MixtureBatch:
     """Update (alpha, omega, m) of every bin from its completed sample.
 
     Scales use the previous shapes (omega_i = omega_im / m_i^prev); the new
     shapes then solve digamma(m) = weighted mean of ln(x / omega_i^new), in
     one ``solve_shape`` call for the batch. Scale updates use the unclamped
     weights; only the stored alpha is clamped into
-    [ALPHA_FLOOR, 1 - ALPHA_FLOOR]. A bin whose update is undefined gets NaN
-    parameters. A component without samples raises ``DegenerateFitError``,
-    or with ``on_empty="keep"`` keeps its previous parameters.
+    [ALPHA_FLOOR, 1 - ALPHA_FLOOR]. A component whose shape update is
+    undefined gets a NaN shape, and one without samples a NaN scale too; a
+    component's update reads no other component.
     """
     n = len(bins)
     if completed.z_obs.shape != bins.x.shape \
@@ -262,10 +258,6 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
                 + np.bincount(key_cens, w_cens, 2 * n)).reshape(n, 2)
 
     counts = per_component(None, None)
-    empty = counts == 0
-    if empty.any() and on_empty != "keep":
-        raise DegenerateFitError(
-            f"component(s) got no samples in {int(empty.any(1).sum())} bins")
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = per_component(bins.x, completed.y_cens) / counts / phi_prev.m
         log_mean = per_component(bins.lnx, np.log(completed.y_cens)) / counts \
@@ -273,9 +265,6 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     solvable = np.isfinite(log_mean)
     m = np.full(log_mean.shape, np.nan)
     m[solvable] = solve_shape(log_mean[solvable], config.digamma_mode)
-    if on_empty == "keep":
-        m = np.where(empty, phi_prev.m, m)
-        omega = np.where(empty, phi_prev.omega, omega)
     alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,
                      1.0 - ALPHA_FLOOR)
     return MixtureBatch(alpha1, m, omega)
@@ -305,8 +294,10 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
 
     Returns one entry per bin: its ``SemTrace``, or the error that ended its
     chain (``InsufficientDataError``, ``DegenerateFitError`` when a
-    component stayed empty, otherwise ``NumericalFailureError``). A failed
-    bin leaves the batch; the other bins run on unchanged.
+    component stayed empty, otherwise ``NumericalFailureError``). Each
+    iteration runs the S- and M-step on every bin still in the batch; a bin
+    that either step failed then leaves it, with the S-step's error when
+    both did, and the other bins run on unchanged.
     """
     out = [None] * len(bins)
     live = []
@@ -321,36 +312,23 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     phi = MixtureBatch.of([inits[b] for b in live])
     rngs = [rngs[b] for b in live]
     history = np.empty((len(bins), config.iterations, 5))
-
-    def drop(failed):
-        # record the failures; returns the mask of the bins that go on
-        nonlocal batch, phi, live, rngs
-        keep = np.ones(len(live), bool)
-        for i, exc in failed.items():
-            out[live[i]] = exc
-            keep[i] = False
-        batch, obs, cens = batch.take(keep)
-        phi = phi.take(keep)
-        live = [b for b, k in zip(live, keep) if k]
-        rngs = [r for r, k in zip(rngs, keep) if k]
-        return keep, obs, cens
-
     for it in range(config.iterations):
         completed, failed = s_step(batch, phi, rngs)
-        if failed:
-            _, obs, cens = drop(failed)
-            completed = CompletedAssignment(completed.z_obs[obs],
-                                            completed.z_cens[cens],
-                                            completed.y_cens[cens])
         nxt = m_step(batch, completed, phi, config)
         valid = (nxt.m > 0) & (nxt.m < np.inf) & (nxt.omega > 0) \
             & (nxt.omega < np.inf)
-        bad = np.flatnonzero(~valid.all(axis=1)).tolist()
-        if bad:
-            keep, _, _ = drop({i: NumericalFailureError(
+        for i in np.flatnonzero(~valid.all(axis=1)).tolist():
+            failed.setdefault(i, NumericalFailureError(
                 f"bin ld={batch.ld[i]}: M-step gave a shape or scale that "
-                "is not finite and > 0") for i in bad})
-            nxt = nxt.take(keep)
+                "is not finite and > 0"))
+        if failed:
+            keep = np.ones(len(live), bool)
+            for i, exc in failed.items():
+                out[live[i]] = exc
+                keep[i] = False
+            batch, phi, nxt = batch.take(keep), phi.take(keep), nxt.take(keep)
+            live = [b for b, k in zip(live, keep) if k]
+            rngs = [r for r, k in zip(rngs, keep) if k]
         phi = _ordered(nxt, phi)
         # PARAM_FIELDS order: alpha1, then (m, omega) of each component
         history[live, it, 0] = phi.alpha1

@@ -70,7 +70,7 @@ class Scenario:
         key or a value that is not a number of the field's type (``int``
         for ``n_per_bin`` and ``seed``) raises ValueError, as does any value
         ``Scenario`` itself rejects. An integer given for a float field
-        becomes a float."""
+        becomes a float; one beyond float range raises ValueError."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario JSON must be an object")
@@ -78,13 +78,18 @@ class Scenario:
         unknown = set(doc) - set(types)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        values = {}
         for name, value in doc.items():
             kinds = int if types[name] == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"scenario field {name!r} must be a "
                                  f"{types[name]}, got {value!r}")
-        return cls(**{name: value if types[name] == "int" else float(value)
-                      for name, value in doc.items()})
+            try:
+                values[name] = value if kinds is int else float(value)
+            except OverflowError:
+                raise ValueError(f"scenario field {name!r} is an integer "
+                                 "beyond float range") from None
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

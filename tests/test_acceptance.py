@@ -241,7 +241,7 @@ class TestCriterion7MStepStationarity:
                                              GammaParams(1.0, 1.0))])
         cfg = SemConfig()
         for _ in range(5000):
-            nxt = m_step(bins, completed, phi, cfg, on_empty="keep")
+            nxt = m_step(bins, completed, phi, cfg)
             done = abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13
             phi = nxt
             if done:

@@ -69,6 +69,8 @@ class TestSimulate:
         pytest.param({"m1": float("nan")}, id="nan-float"),
         # ~9e9 grid bins: rejected before the grid is built
         pytest.param({"ld_step": 1e-9}, id="too-many-packets"),
+        # an integer that float() cannot hold
+        pytest.param({"m1": 10 ** 400}, id="huge-int-float"),
     ])
     def test_bad_config_schema(self, tmp_path, capsys, doc):
         cfg = tmp_path / "bad.json"
@@ -106,6 +108,22 @@ class TestEstimate:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_power_on_threshold_is_censored(self, tmp_path, command):
+        # the last RSSI is above --c-db in dB, but its linear power rounds
+        # onto the threshold's: a censored row, not a crash
+        packets = tmp_path / "p.csv"
+        packets.write_text("seq,distance_m,rssi_dbm\n" + "".join(
+            f"{s},1000.0,{-90.0 - s}\n" for s in range(1, 20))
+            + "20,1000.0,-119.49999999999999\n")
+        out = tmp_path / "o.csv"
+        rc = main([command, "--input", str(packets), "--c-db", "-119.5",
+                   "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            row, = csv.DictReader(fh)
+        assert row["loss_fraction"] == "0.05"
 
     def test_missing_input(self, tmp_path):
         rc = main(["estimate", "--input", str(tmp_path / "nope.csv"),
@@ -345,6 +363,8 @@ class TestUsage:
                 ["--iters", "0"], ["--burn", "51"], ["--burn", "0"],
                 ["--iters", "5", "--burn", "6"], ["--ld-step", "0"],
                 ["--ld-step", "-0.5"], ["--c-db", "nan"], ["--c-db", "inf"],
+                # linear threshold 0 (underflow) and inf (overflow)
+                ["--c-db", "-3400"], ["--c-db", "3100"],
                 ["--init-m1", "-1"], ["--init-m1", "nan"], ["--seed", "-1"])
               for command in ("estimate", "compare")),
             *(("fit", ["--exclude-ld", bounds]) for bounds in (

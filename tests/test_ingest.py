@@ -212,6 +212,15 @@ class TestBinByLd:
         assert bins[0].r1 == 1
         assert bins[0].observed.size == 1
 
+    def test_power_rounding_onto_threshold_counts_as_censored(self):
+        # above the threshold in dB, but its linear power rounds onto the
+        # threshold's, so CensoredBin would reject it as received
+        rssi = -119.49999999999999
+        assert rssi > -119.5 and 10.0 ** (rssi / 10.0) == 10.0 ** -11.95
+        bins = bin_by_ld(_log([(1, 1000.0, rssi), (2, 1000.0, -80.0)]),
+                         0.5, -119.5)
+        assert (bins[0].r1, bins[0].observed.size) == (1, 1)
+
     def test_logged_loss_counts_as_censored(self):
         bins = bin_by_ld(_log([(1, 1000.0, math.nan), (2, 1000.0, -80.0)]),
                          0.5, -109.0)

@@ -227,7 +227,7 @@ class TestMStep:
         completed = CompletedAssignment(np.ones(4, bool), np.empty(0, bool),
                                         np.empty(0))
         cfg = SemConfig()
-        out = m_step(bins, completed, _one(_phi()), cfg, on_empty="keep")
+        out = m_step(bins, completed, _one(_phi()), cfg)
         # raw alpha1 = 1, stored value clamped to 1 - floor
         assert out.alpha1[0] == pytest.approx(0.98)
 
@@ -247,12 +247,13 @@ class TestMStep:
         want_l1 = np.mean(np.log(np.array([1.0, 3.0]) / out.omega[0, 0]))
         assert digamma(out.m[0, 0]) == pytest.approx(want_l1, abs=1e-9)
 
-    def test_empty_component_error(self):
+    def test_empty_component_gets_nan(self):
         bins = _batch([1.0, 2.0])
         completed = CompletedAssignment(np.ones(2, bool), np.empty(0, bool),
                                         np.empty(0))
-        with pytest.raises(DegenerateFitError):
-            m_step(bins, completed, _one(_phi()), SemConfig())
+        out = m_step(bins, completed, _one(_phi()), SemConfig())
+        assert np.isnan(out.m[0, 1]) and np.isnan(out.omega[0, 1])
+        assert np.isfinite(out.m[0, 0]) and out.omega[0, 0] == 1.5 / 7.0
 
     def test_single_component_ml_stationarity(self):
         # iterating the update on a fully comp1-labeled uncensored sample
@@ -265,7 +266,7 @@ class TestMStep:
         phi = _one(_phi(m1=3.0, om1=1.0))
         cfg = SemConfig()
         for _ in range(5000):
-            nxt = m_step(bins, completed, phi, cfg, on_empty="keep")
+            nxt = m_step(bins, completed, phi, cfg)
             if abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13:
                 phi = nxt
                 break
@@ -411,6 +412,24 @@ class TestBatchInvariance:
                                for b in range(len(bins))])
         assert isinstance(out[k], error)
         for b in range(k):
+            assert out[b].final == alone[b].final
+            assert np.array_equal(out[b].iterates, alone[b].iterates)
+
+    def test_m_step_failure_leaves_others_alone(self, lone_runs):
+        # any two of these powers sum beyond float max, so whichever
+        # component gets two of them has an infinite scale update
+        bins, inits, alone = lone_runs
+        huge = CensoredBin(ld=40.0, observed=[0.9e308, 1.0e308, 1.1e308,
+                                              1.2e308],
+                           n_total=4, r1=0, c_db=bins[0].c_db)
+        start = MixtureParams(0.5, GammaParams(2.0, 0.5e308),
+                              GammaParams(2.0, 0.5e308))
+        out = run_semcm_batch([*bins, huge], [*inits, start], BATCH_CONFIG,
+                              [bin_rng(BATCH_SEED, b)
+                               for b in range(len(bins) + 1)])
+        assert isinstance(out[-1], NumericalFailureError)
+        assert "M-step gave a shape or scale" in str(out[-1])
+        for b in range(len(bins)):
             assert out[b].final == alone[b].final
             assert np.array_equal(out[b].iterates, alone[b].iterates)
 
