@@ -35,6 +35,9 @@ def mb_shape(samples) -> float:
     """Moment-based shape: inverse normalized variance of the power,
     mu^2 / (mu2 - mu^2) from the first two sample moments."""
     x = _validate_samples(samples)
+    # scaling by a power of two into (0, 1) is exact and leaves the ratio
+    # as it was, but keeps the squares of a power near float max finite
+    x = np.ldexp(x, -np.frexp(x.max())[1])
     mu = float(x.mean())
     mu2 = float((x * x).mean())
     var = mu2 - mu * mu

@@ -52,6 +52,16 @@ def _positive_float(text):
     return value
 
 
+def _ld_step(text):
+    value = _positive_float(text)
+    # the bin index of a distance d, 10 log10(d) / step, must stay finite
+    # down to the smallest subnormal d, where 10 log10(d) is about -3233.06
+    if math.isinf(10.0 * math.log10(math.ulp(0.0)) / value):
+        raise argparse.ArgumentTypeError(
+            f"expected a step above about 1.8e-305: {text}")
+    return value
+
+
 def _threshold_db(text):
     value = _finite_float(text)
     with np.errstate(over="ignore"):
@@ -109,7 +119,7 @@ def _estimation_flags(sp):
     sp.add_argument("--input", required=True, help="packet-log CSV")
     sp.add_argument("--c-db", type=_threshold_db, required=True,
                     help="censoring threshold in dBm")
-    sp.add_argument("--ld-step", type=_positive_float, default=0.5)
+    sp.add_argument("--ld-step", type=_ld_step, default=0.5)
     sp.add_argument("--iters", type=_positive_int, default=50)
     sp.add_argument("--burn", type=_positive_int, default=10,
                     help="burn window, at most --iters")
@@ -131,13 +141,13 @@ def cmd_simulate(args) -> int:
             sc = simulator.Scenario(**{**sc.__dict__, "seed": args.seed})
         with open(args.out, "w", newline="") as fh:
             ingest.write_packet_log(fh, simulator.packet_rows(sc))
+        truth = simulator.ground_truth(sc)
+        table = np.column_stack([truth.lds, [p.row() for p in truth.params],
+                                 truth.mean1_db, truth.mean2_db])
         with open(args.out + ".truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["ld", *model.PARAM_FIELDS, "mean1_db", "mean2_db"])
-            for ld in sc.ld_grid.tolist():
-                w.writerow([repr(v) for v in (
-                    ld, *simulator.true_params_at(ld, sc).row(),
-                    sc.pl_a - sc.pl_b * ld, float(sc.interference_mean_db))])
+            w.writerows(map(repr, row) for row in table.tolist())
     except (OSError, ValueError) as exc:
         return _data_error("simulate", exc)
     return EXIT_OK

@@ -95,21 +95,18 @@ class BinBatch:
 
 @dataclass(frozen=True)
 class MixtureBatch:
-    """Mixture parameters of a batch of bins: ``alpha1`` has shape (B,),
-    ``m`` and ``omega`` shape (B, 2) with column j for component j + 1."""
+    """Mixture parameters of a batch of bins: ``rows`` has shape (B, 5), one
+    ``PARAM_FIELDS`` row per bin."""
 
-    alpha1: np.ndarray
-    m: np.ndarray
-    omega: np.ndarray
+    rows: np.ndarray
+    # read-only views: (B,) and (B, 2), column j for component j + 1
+    alpha1 = property(lambda self: self.rows[:, 0])
+    m = property(lambda self: self.rows[:, 1::2])
+    omega = property(lambda self: self.rows[:, 2::2])
 
     @classmethod
     def of(cls, params) -> "MixtureBatch":
-        rows = np.array([p.row() for p in params], float).reshape(-1, 5)
-        return cls(rows[:, 0].copy(), rows[:, 1::2].copy(),
-                   rows[:, 2::2].copy())
-
-    def take(self, keep) -> "MixtureBatch":
-        return MixtureBatch(self.alpha1[keep], self.m[keep], self.omega[keep])
+        return cls(np.array([p.row() for p in params], float).reshape(-1, 5))
 
 
 @dataclass(frozen=True)
@@ -160,23 +157,21 @@ def e_step_censored(bins: BinBatch, phi: MixtureBatch):
 def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     """Draw labels for every sample and impute the censored values.
 
-    Bin b draws from ``rngs[b]`` only. Each attempt at its labels draws
-    random(n_obs), then random(r1) for the censored labels, k1 of which
-    take component 1; a bin left with an empty component draws again, up
-    to ``EMPTY_COMPONENT_RETRIES`` attempts in all. Once every bin's labels
-    are settled, each bin with censored samples, in bin order, imputes
-    component 1's k1 values, then component 2's r1 - k1, each by
-    ``draw_truncated_gamma`` with the component's truncated mass from
-    ``e_step_censored``. Returns the completion and a dict from the index
-    of each bin that failed to the error that ends its chain. A failed
-    bin's labels are meaningless and its imputed values lie in (0, c_lin].
+    Bin b draws from ``rngs[b]`` only, in one pass: each attempt at its
+    labels draws random(n_obs), then random(r1) for the censored labels, k1
+    of which take component 1, and a bin left with an empty component draws
+    again, up to ``EMPTY_COMPONENT_RETRIES`` attempts in all. It then
+    imputes component 1's k1 censored values, then component 2's r1 - k1,
+    each by ``draw_truncated_gamma`` with the component's truncated mass
+    from ``e_step_censored``. Returns the completion and a dict from the
+    index of each bin that failed to the error that ends its chain. A
+    failed bin's labels are meaningless and its imputed values lie in
+    (0, c_lin].
     """
     t_obs = e_step_observed(bins, phi)
     t_cens, mass = e_step_censored(bins, phi)
-    n = len(bins)
     failed = {}
-    owner = bins.owner
-    for b in np.unique(owner[np.isnan(t_obs)]).tolist():
+    for b in np.unique(bins.owner[np.isnan(t_obs)]).tolist():
         failed[b] = NumericalFailureError(
             f"bin ld={bins.ld[b]}: both component densities underflowed at "
             "some sample")
@@ -185,51 +180,39 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
             f"bin ld={bins.ld[b]}: no component carries mass below the "
             "censoring threshold"))
 
-    obs_end, cens_end = np.cumsum(bins.n_obs), np.cumsum(bins.r1)
-    obs_spans = list(zip((obs_end - bins.n_obs).tolist(), obs_end.tolist()))
-    r1s, t1s = bins.r1.tolist(), t_cens.tolist()
-    u_obs = np.zeros(bins.x.size)
-    k1 = np.zeros(n, np.intp)
-    todo = [b for b in range(n) if b not in failed]
-    with np.errstate(invalid="ignore"):
-        for _ in range(EMPTY_COMPONENT_RETRIES):
-            for b in todo:
-                o0, o1 = obs_spans[b]
-                rng = rngs[b]
-                rng.random(out=u_obs[o0:o1])
-                if r1s[b]:
-                    k1[b] = np.count_nonzero(rng.random(r1s[b]) < t1s[b])
-            z_obs = u_obs < t_obs
-            n1 = np.bincount(owner, weights=z_obs, minlength=n) + k1
-            n2 = bins.n_obs + bins.r1 - n1
-            todo = [b for b in todo if n1[b] == 0 or n2[b] == 0]
-            if not todo:
-                break
-    for b in todo:
-        failed[b] = DegenerateFitError(
-            f"bin ld={bins.ld[b]}: a component stayed empty after "
-            f"{EMPTY_COMPONENT_RETRIES} redraws")
-
+    z_obs = np.zeros(bins.x.size, bool)
     y_cens = np.repeat(bins.c_lin, bins.r1)
-    m, omega, masses = phi.m.tolist(), phi.omega.tolist(), mass.tolist()
-    c_lin, cens_start = bins.c_lin.tolist(), (cens_end - bins.r1).tolist()
-    k1s = k1.tolist()
-    for b in np.flatnonzero(bins.r1).tolist():
+    z_cens = np.zeros(y_cens.size, bool)
+    o1 = c1 = 0
+    for b, (n, r1, t1, masses, m, omega, c) in enumerate(zip(
+            bins.n_obs.tolist(), bins.r1.tolist(), t_cens.tolist(),
+            mass.tolist(), phi.m.tolist(), phi.omega.tolist(),
+            bins.c_lin.tolist())):
+        o0, o1, c0, c1 = o1, o1 + n, c1, c1 + r1
         if b in failed:
             continue
-        c0, k = cens_start[b], k1s[b]
-        for j, (a, e) in enumerate(((c0, c0 + k), (c0 + k, c0 + r1s[b]))):
+        rng, z = rngs[b], z_obs[o0:o1]
+        for _ in range(EMPTY_COMPONENT_RETRIES):
+            np.less(rng.random(n), t_obs[o0:o1], out=z)
+            k1 = np.count_nonzero(rng.random(r1) < t1) if r1 else 0
+            if 0 < np.count_nonzero(z) + k1 < n + r1:
+                break
+        else:
+            failed[b] = DegenerateFitError(
+                f"bin ld={bins.ld[b]}: a component stayed empty after "
+                f"{EMPTY_COMPONENT_RETRIES} redraws")
+            continue
+        z_cens[c0:c0 + k1] = True
+        for j, (a, e) in enumerate(((c0, c0 + k1), (c0 + k1, c1))):
             if e == a:
                 continue
-            if masses[b][j] < TRUNCATION_MASS_FLOOR:
+            if masses[j] < TRUNCATION_MASS_FLOOR:
                 failed[b] = NumericalFailureError(
                     f"bin ld={bins.ld[b]}: component {j + 1} has mass "
-                    f"{masses[b][j]:.3g} below the threshold")
+                    f"{masses[j]:.3g} below the threshold")
                 break
-            y_cens[a:e] = draw_truncated_gamma(
-                rngs[b], m[b][j], omega[b][j], c_lin[b], masses[b][j], e - a)
-    z_cens = np.arange(y_cens.size) < np.repeat(cens_end - bins.r1 + k1,
-                                                bins.r1)
+            y_cens[a:e] = draw_truncated_gamma(rng, m[j], omega[j], c,
+                                               masses[j], e - a)
     return CompletedAssignment(z_obs, z_cens, y_cens), failed
 
 
@@ -267,7 +250,8 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     m[solvable] = solve_shape(log_mean[solvable], config.digamma_mode)
     alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,
                      1.0 - ALPHA_FLOOR)
-    return MixtureBatch(alpha1, m, omega)
+    return MixtureBatch(np.column_stack(
+        [alpha1, m[:, 0], omega[:, 0], m[:, 1], omega[:, 1]]))
 
 
 def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
@@ -283,9 +267,9 @@ def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
             + np.abs(shape[:, i] - shape0[:, j])
 
     swap = dist(0, 1) + dist(1, 0) < dist(0, 0) + dist(1, 1)
-    return MixtureBatch(np.where(swap, 1.0 - phi.alpha1, phi.alpha1),
-                        np.where(swap[:, None], phi.m[:, ::-1], phi.m),
-                        np.where(swap[:, None], phi.omega[:, ::-1], phi.omega))
+    swapped = phi.rows[:, [0, 3, 4, 1, 2]]  # the components exchanged
+    swapped[:, 0] = 1.0 - swapped[:, 0]
+    return MixtureBatch(np.where(swap[:, None], swapped, phi.rows))
 
 
 def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
@@ -315,8 +299,7 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     for it in range(config.iterations):
         completed, failed = s_step(batch, phi, rngs)
         nxt = m_step(batch, completed, phi, config)
-        valid = (nxt.m > 0) & (nxt.m < np.inf) & (nxt.omega > 0) \
-            & (nxt.omega < np.inf)
+        valid = (nxt.rows[:, 1:] > 0) & (nxt.rows[:, 1:] < np.inf)
         for i in np.flatnonzero(~valid.all(axis=1)).tolist():
             failed.setdefault(i, NumericalFailureError(
                 f"bin ld={batch.ld[i]}: M-step gave a shape or scale that "
@@ -326,14 +309,12 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
             for i, exc in failed.items():
                 out[live[i]] = exc
                 keep[i] = False
-            batch, phi, nxt = batch.take(keep), phi.take(keep), nxt.take(keep)
+            batch, phi = batch.take(keep), MixtureBatch(phi.rows[keep])
+            nxt = MixtureBatch(nxt.rows[keep])
             live = [b for b, k in zip(live, keep) if k]
             rngs = [r for r, k in zip(rngs, keep) if k]
         phi = _ordered(nxt, phi)
-        # PARAM_FIELDS order: alpha1, then (m, omega) of each component
-        history[live, it, 0] = phi.alpha1
-        history[live, it, 1::2] = phi.m
-        history[live, it, 2::2] = phi.omega
+        history[live, it] = phi.rows
 
     for b in live:
         # reduce each parameter's window as one contiguous 1-D run: that is

@@ -97,7 +97,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-bin true parameters, for oracle checks on simulated data."""
+    """Per-bin true parameters of a scenario: its truth CSV and the
+    oracle of checks on simulated data."""
 
     lds: np.ndarray
     params: list  # MixtureParams per bin
@@ -137,23 +138,26 @@ def _draw_bin(sc: Scenario, bin_index: int, ld: float):
     return mixed, keep
 
 
-def generate_scenario(sc: Scenario):
-    """Returns (bins, ground truth, censored-out count per bin)."""
-    bins, params, dropped = [], [], []
+def ground_truth(sc: Scenario) -> GroundTruth:
+    """The true parameters of every bin of a scenario; draws nothing."""
     grid = sc.ld_grid
-    for b, ld in enumerate(grid):
-        mixed, keep = _draw_bin(sc, b, ld)
-        r1 = int(sc.n_per_bin - keep.sum())
-        bins.append(CensoredBin(ld=float(ld), observed=mixed[keep],
-                                n_total=sc.n_per_bin, r1=r1, c_db=sc.c_db))
-        params.append(true_params_at(float(ld), sc))
-        dropped.append(r1)
-    truth = GroundTruth(
+    return GroundTruth(
         lds=grid,
-        params=params,
+        params=[true_params_at(ld, sc) for ld in grid.tolist()],
         mean1_db=sc.pl_a - sc.pl_b * grid,
         mean2_db=np.full(grid.size, sc.interference_mean_db))
-    return bins, truth, dropped
+
+
+def generate_scenario(sc: Scenario):
+    """Returns (bins, ground truth, censored-out count per bin)."""
+    bins, dropped = [], []
+    for b, ld in enumerate(sc.ld_grid.tolist()):
+        mixed, keep = _draw_bin(sc, b, ld)
+        r1 = int(sc.n_per_bin - keep.sum())
+        bins.append(CensoredBin(ld=ld, observed=mixed[keep],
+                                n_total=sc.n_per_bin, r1=r1, c_db=sc.c_db))
+        dropped.append(r1)
+    return bins, ground_truth(sc), dropped
 
 
 def censoring_probability(ld: float, sc: Scenario) -> float:

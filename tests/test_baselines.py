@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.errors import DegenerateSamplesError, RankDeficientFitError
@@ -67,6 +69,20 @@ class TestMbShape:
     def test_degenerate(self):
         with pytest.raises(DegenerateSamplesError):
             mb_shape([1.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+           k=st.floats(0.0, 1.0))
+    @example(x=[3.0, 3.0, 1.0], k=0.5)
+    def test_power_of_two_scaling_is_exact(self, x, k):
+        # bit for bit, for every 2^j that keeps the samples and their
+        # squares finite and normal: at the top j, the sum of the squares
+        # exceeds the float range unless mb_shape scales first
+        x = np.array(x)
+        assume(x.std() > 1e-3 * x.mean())
+        lo, hi = -510 - np.frexp(x.min())[1], 512 - np.frexp(x.max())[1]
+        for j in (lo, hi, lo + round(k * (hi - lo))):
+            assert mb_shape(np.ldexp(x, j)) == mb_shape(x)
 
 
 class TestLseLineFit:

@@ -258,6 +258,22 @@ class TestCompare:
         assert lines[0] == "ld,sem_m1,ml_m,mb_m,loss_fraction,status"
         assert len(lines) == 1 + 5
 
+    def test_huge_power_has_moment_shape(self, tmp_path, scenario_config):
+        # a valid 2000 dBm row: its squared power, 1e400 mW^2, is beyond
+        # float range
+        packets = _simulate(tmp_path, scenario_config)
+        lines = packets.read_text().splitlines()
+        seq, dist, _ = lines[1].split(",")
+        lines[1] = f"{seq},{dist},2000"
+        packets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--input", str(packets), "--c-db", "-109",
+                   "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert math.isfinite(float(row["mb_m"]))
+
 
 class TestFit:
     def test_composition_recovers_line(self, tmp_path):
@@ -365,6 +381,8 @@ class TestUsage:
                 ["--ld-step", "-0.5"], ["--c-db", "nan"], ["--c-db", "inf"],
                 # linear threshold 0 (underflow) and inf (overflow)
                 ["--c-db", "-3400"], ["--c-db", "3100"],
+                # 10 log10 of the smallest distance / step overflows
+                ["--ld-step", "1e-310"],
                 ["--init-m1", "-1"], ["--init-m1", "nan"], ["--seed", "-1"])
               for command in ("estimate", "compare")),
             *(("fit", ["--exclude-ld", bounds]) for bounds in (

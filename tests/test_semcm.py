@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -316,23 +316,28 @@ class TestRunSemcm:
         assert np.array_equal(t1.iterates, t2.iterates)
         assert t1.final == t2.final
 
-    def test_scale_equivariance(self):
+    @settings(max_examples=15, deadline=None)
+    @given(shift_db=st.floats(-60.0, 60.0))
+    @example(shift_db=-90.0)  # a power scale of exactly 1e-9
+    def test_scale_equivariance(self, shift_db):
+        # a dB shift of the samples and of the threshold scales both omegas
+        # by 10^(shift/10) and leaves the weight and the shapes as they were
         rng = np.random.default_rng(17)
         x = rng.gamma(4.0, 1.0, 300)
-        scale = 1e-9
+        scale = 10.0 ** (shift_db / 10.0)
         b1 = CensoredBin(ld=25.0, observed=x, n_total=320, r1=20,
                          c_db=linear_to_db(x.min() / 2))
         b2 = CensoredBin(ld=25.0, observed=x * scale, n_total=320, r1=20,
                          c_db=linear_to_db(x.min() * scale / 2))
         cfg = SemConfig()
-        i1 = init_heuristic(b1)
-        i2 = init_heuristic(b2)
-        t1 = run_semcm(b1, i1, cfg, np.random.default_rng(4))
-        t2 = run_semcm(b2, i2, cfg, np.random.default_rng(4))
-        assert t2.final.alpha1 == pytest.approx(t1.final.alpha1, rel=1e-9)
-        assert t2.final.comp1.m == pytest.approx(t1.final.comp1.m, rel=1e-9)
-        assert t2.final.comp1.omega == pytest.approx(
-            t1.final.comp1.omega * scale, rel=1e-9)
+        f1 = run_semcm(b1, init_heuristic(b1), cfg,
+                       np.random.default_rng(4)).final
+        f2 = run_semcm(b2, init_heuristic(b2), cfg,
+                       np.random.default_rng(4)).final
+        assert f2.alpha1 == pytest.approx(f1.alpha1, rel=1e-9)
+        for c1, c2 in ((f1.comp1, f2.comp1), (f1.comp2, f2.comp2)):
+            assert c2.m == pytest.approx(c1.m, rel=1e-9)
+            assert c2.omega == pytest.approx(c1.omega * scale, rel=1e-9)
 
     def test_trace_length_and_counts(self):
         sc = Scenario(seed=23)
