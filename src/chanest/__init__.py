@@ -1,8 +1,7 @@
 """Channel parameter estimation from left-censored Gamma-mixture RSSI data."""
 
-from .gamma_core import GammaParams
-from .model import (CensoredBin, MixtureParams, PathLossLine, db_to_linear,
-                    linear_to_db, mixture_mean_db)
+from .model import (CensoredBin, GammaParams, MixtureParams, PathLossLine,
+                    db_to_linear, linear_to_db, mixture_mean_db)
 from .semcm import (SemConfig, SemTrace, init_heuristic, run_semcm,
                     run_semcm_batch)
 from .simulator import Scenario, generate_scenario

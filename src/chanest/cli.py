@@ -125,7 +125,7 @@ def _estimation_flags(sp):
                     help="burn window, at most --iters")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--init-m1", type=_positive_float, default=None)
-    sp.add_argument("--digamma", choices=("exact", "paper"), default="exact")
+    sp.add_argument("--digamma", choices=semcm.DIGAMMA_MODES, default="exact")
 
 
 def _data_error(command, exc) -> int:
@@ -174,9 +174,8 @@ def _estimate_bins(bins, args):
     """Run the SEM chains of all bins as one batch. Returns one
     ``(bin, trace, status)`` per bin; a failed bin has no trace and its
     failure as the status."""
-    config = semcm.SemConfig(
-        iterations=args.iters, burn_window=args.burn,
-        digamma_mode="paper_approx" if args.digamma == "paper" else "exact")
+    config = semcm.SemConfig(iterations=args.iters, burn_window=args.burn,
+                             digamma_mode=args.digamma)
     outcomes, inits = [None] * len(bins), {}
     for b, bin_ in enumerate(bins):
         try:

@@ -6,12 +6,12 @@ explicit ``numpy.random.Generator`` so callers own reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import NumericalFailureError
+from .model import GammaParams
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -22,57 +22,14 @@ TRUNCATION_MASS_FLOOR = 1e-300
 REJECTION_MASS = 0.5
 TINY = np.finfo(float).tiny
 
-DIGAMMA_MODES = ("exact", "paper_approx")
+DIGAMMA_MODES = ("exact", "paper")
 # Minka (2002): digamma^-1(L) ~ exp(L) + 1/2 for L >= this, else
 # -1 / (L - digamma(1)); Newton from there converges in a few steps (at most
-# 5 exact, 10 paper_approx over L in [-700, 700]).
+# 5 exact, 10 paper over L in [-700, 700]).
 MINKA_SPLIT = -2.22
 NEWTON_STEPS = 50
 # relative residual at which a solve_shape lane stops
 SHAPE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """One mixture component: shape ``m`` and scale ``omega`` (mW).
-
-    Mean power in the linear domain is ``m * omega``.
-    """
-
-    m: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"shape must be finite and > 0, got {self.m}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"scale must be finite and > 0, got {self.omega}")
-
-    @property
-    def mean(self) -> float:
-        return self.m * self.omega
-
-
-def reg_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and > 0, got {a}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    out = special.gammainc(a, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def inv_reg_lower_gamma(a: float, q):
-    """Inverse of ``reg_lower_gamma`` in x: returns x with P(a, x) = q."""
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and > 0, got {a}")
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0) or np.any(q >= 1):
-        raise ValueError("q must lie in [0, 1)")
-    out = special.gammaincinv(a, q)
-    return float(out) if out.ndim == 0 else out
 
 
 def _psi(x, mode: str):
@@ -173,7 +130,7 @@ def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and > 0, got {c}")
-    mass = reg_lower_gamma(p.m, c / p.omega)
+    mass = float(special.gammainc(p.m, c / p.omega))
     if mass < TRUNCATION_MASS_FLOOR:
         raise NumericalFailureError(
             f"P(m={p.m}, c/omega={c / p.omega:.3g}) = {mass:.3g}: component "

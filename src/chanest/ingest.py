@@ -123,7 +123,7 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     """Group a log, received and lost rows together, into log-distance bins
     of width ld_step.
 
-    A row counts as received when its linear power is above
+    A row counts as received when its ``db_to_linear`` power is above
     ``db_to_linear(c_db)``, the comparison ``CensoredBin`` makes; any other
     row, a power that rounds onto the threshold among them, counts as
     censored, matching the left-censoring model. Bin 'ld' is the lower edge
@@ -134,7 +134,7 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
     order = np.argsort(cell, kind="stable")
     cell, rssi = cell[order], log["rssi_dbm"][order]
-    power = 10.0 ** (rssi / 10.0)
+    power = db_to_linear(rssi)
     received = power > db_to_linear(c_db)  # False for a lost (NaN) row
     keys, first = np.unique(cell, return_index=True)
     bins = []

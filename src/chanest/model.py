@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamma_core import GammaParams
-
 # one mixture as a row of floats, the layout of every parameter CSV column
 PARAM_FIELDS = ("alpha1", "m1", "omega1", "m2", "omega2")
 ESTIMATE_FIELDS = ("ld", *PARAM_FIELDS, "mean1_db", "mean2_db",
@@ -33,6 +31,27 @@ def linear_to_db(p):
         raise ValueError("linear power must be > 0")
     out = 10.0 * np.log10(p)
     return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class GammaParams:
+    """One mixture component: shape ``m`` and scale ``omega`` (mW).
+
+    Mean power in the linear domain is ``m * omega``.
+    """
+
+    m: float
+    omega: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"shape must be finite and > 0, got {self.m}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.omega}")
+
+    @property
+    def mean(self) -> float:
+        return self.m * self.omega
 
 
 @dataclass(frozen=True)

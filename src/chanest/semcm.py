@@ -23,11 +23,11 @@ from scipy import special
 from . import baselines
 from .errors import (DegenerateFitError, InsufficientDataError,
                      NumericalFailureError)
-from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR, GammaParams,
+from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR,
                          draw_truncated_gamma, solve_shape)
 # not called here: bench/child.py traces the sampler under this module's name
 from .gamma_core import sample_truncated_gamma  # noqa: F401
-from .model import CensoredBin, MixtureParams, db_to_linear
+from .model import CensoredBin, GammaParams, MixtureParams, db_to_linear
 
 EMPTY_COMPONENT_RETRIES = 10
 # lowest mixing weight the M-step stores for either component

@@ -10,9 +10,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .gamma_core import GammaParams
 from .ingest import LOG_DTYPE
-from .model import CensoredBin, MixtureParams, db_to_linear
+from .model import CensoredBin, GammaParams, MixtureParams, db_to_linear
 
 # Most packets (grid bins x n_per_bin) a scenario may hold; the largest
 # benchmark scenario has 380 000. A larger one is rejected before any
@@ -148,25 +147,24 @@ def ground_truth(sc: Scenario) -> GroundTruth:
         mean2_db=np.full(grid.size, sc.interference_mean_db))
 
 
-def generate_scenario(sc: Scenario):
-    """Returns (bins, ground truth, censored-out count per bin)."""
-    bins, dropped = [], []
+def generate_scenario(sc: Scenario) -> list[CensoredBin]:
+    """The censored bins of a scenario; ``ground_truth(sc)`` is their truth."""
+    bins = []
     for b, ld in enumerate(sc.ld_grid.tolist()):
         mixed, keep = _draw_bin(sc, b, ld)
-        r1 = int(sc.n_per_bin - keep.sum())
-        bins.append(CensoredBin(ld=ld, observed=mixed[keep],
-                                n_total=sc.n_per_bin, r1=r1, c_db=sc.c_db))
-        dropped.append(r1)
-    return bins, ground_truth(sc), dropped
+        obs = mixed[keep]
+        bins.append(CensoredBin(ld=ld, observed=obs, n_total=sc.n_per_bin,
+                                r1=sc.n_per_bin - obs.size, c_db=sc.c_db))
+    return bins
 
 
 def censoring_probability(ld: float, sc: Scenario) -> float:
     """Analytic P(sample below threshold) for one bin."""
-    from .gamma_core import reg_lower_gamma
+    from scipy.special import gammainc  # only this oracle needs scipy here
     c = db_to_linear(sc.c_db)
     phi = true_params_at(ld, sc)
-    return (phi.alpha1 * reg_lower_gamma(phi.comp1.m, c / phi.comp1.omega)
-            + phi.alpha2 * reg_lower_gamma(phi.comp2.m, c / phi.comp2.omega))
+    return (phi.alpha1 * gammainc(phi.comp1.m, c / phi.comp1.omega)
+            + phi.alpha2 * gammainc(phi.comp2.m, c / phi.comp2.omega))
 
 
 def packet_rows(sc: Scenario) -> np.ndarray:

@@ -121,7 +121,7 @@ class TestBaselineFailureOnMixture:
         # with interference in the received samples, single-mode shape
         # estimates collapse well below the true signal shape of 7
         sc = Scenario(seed=11)
-        bins, _, _ = generate_scenario(sc)
+        bins = generate_scenario(sc)
         ml, mb = [], []
         for bin_ in bins:
             # deeply censored bins (ld > 31) lose the wide signal cloud and

@@ -131,6 +131,37 @@ class TestEstimate:
         assert rc == 2
 
 
+class TestFailedBins:
+    def test_failed_bins_have_status_rows(self, tmp_path):
+        # bin 23: four equal powers, so the start's moment shape raises;
+        # bin 24: one received and one lost packet; bin 25: six distinct
+        rows = [(2.3, "-80")] * 4 + [(2.4, "-95"), (2.4, "")] + [
+            (2.5, str(-90 - 3 * k)) for k in range(6)]
+        packets = tmp_path / "p.csv"
+        packets.write_text("seq,distance_m,rssi_dbm\n" + "".join(
+            f"{s},{10 ** e!r},{r}\n" for s, (e, r) in enumerate(rows, 1)))
+        outs = {}
+        for command in ("estimate", "compare"):
+            out = tmp_path / f"{command}.csv"
+            rc = main([command, "--input", str(packets), "--c-db", "-109",
+                       "--ld-step", "1", "--out", str(out)])
+            assert rc == 0
+            with out.open(newline="") as fh:
+                outs[command] = list(csv.DictReader(fh))
+        statuses = ["numerical-failure", "insufficient-data", "ok"]
+        est, cmp_ = outs["estimate"], outs["compare"]
+        assert [r["ld"] for r in est] == ["23.0", "24.0", "25.0"]
+        assert [r["status"] for r in est] == statuses
+        for row in est[:2]:
+            assert all(v == "" for k, v in row.items()
+                       if k not in ("ld", "status"))
+        assert all(math.isfinite(float(v)) for k, v in est[2].items()
+                   if k not in ("ld", "status"))
+        assert [r["status"] for r in cmp_] == statuses
+        assert [r["loss_fraction"] for r in cmp_] == ["0.0", "0.5", "0.0"]
+        assert cmp_[0]["sem_m1"] == cmp_[1]["sem_m1"] == ""
+
+
 class TestMalformedLog:
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     @pytest.mark.parametrize("rows, lines", [

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from chanest.gamma_core import GammaParams
 from chanest.model import (ESTIMATE_FIELDS, PARAM_FIELDS, CensoredBin,
-                           MixtureParams, PathLossLine, db_to_linear,
-                           linear_to_db, mixture_mean_db, read_estimates,
-                           write_estimates)
+                           GammaParams, MixtureParams, PathLossLine,
+                           db_to_linear, linear_to_db, mixture_mean_db,
+                           read_estimates, write_estimates)
 
 
 class TestConversions:

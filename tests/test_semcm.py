@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from chanest.errors import (DegenerateFitError, InsufficientDataError,
                             NumericalFailureError)
-from chanest.gamma_core import (REJECTION_MASS, GammaParams, digamma,
-                                inv_reg_lower_gamma, reg_lower_gamma,
+from chanest.gamma_core import (REJECTION_MASS, digamma,
                                 sample_truncated_gamma)
-from chanest.model import (PARAM_FIELDS, CensoredBin, MixtureParams,
-                           linear_to_db, mixture_mean_db)
+from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
+                           MixtureParams, linear_to_db, mixture_mean_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
                            init_heuristic, m_step, run_semcm,
                            run_semcm_batch, s_step)
 from chanest.simulator import (Scenario, bin_rng, generate_scenario,
-                               true_params_at)
+                               ground_truth, true_params_at)
 
 
 def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
@@ -201,7 +200,7 @@ class TestSStep:
         # s_step's own imputation, one component on each side of
         # REJECTION_MASS, against criterion 8's KS bound
         masses, shapes = (0.95, 0.05), (7.0, 35.0)
-        omegas = [1.0 / inv_reg_lower_gamma(m, q)
+        omegas = [1.0 / special.gammaincinv(m, q)
                   for m, q in zip(shapes, masses)]
         bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=20_001,
                            r1=20_000, c_db=linear_to_db(1.0))
@@ -215,7 +214,7 @@ class TestSStep:
             assert block.size > 5_000
 
             def trunc_cdf(y):
-                return reg_lower_gamma(shapes[j], y / omegas[j]) / masses[j]
+                return special.gammainc(shapes[j], y / omegas[j]) / masses[j]
 
             d, _ = stats.kstest(block, trunc_cdf)
             assert d < 0.02
@@ -289,7 +288,7 @@ class TestRunSemcm:
 
     def test_default_scenario_shape_recovery(self):
         sc = Scenario(seed=21)
-        bins, truth, _ = generate_scenario(sc)
+        bins, truth = generate_scenario(sc), ground_truth(sc)
         bin_ = bins[0]  # ld = 23, well-separated clusters
         rng = np.random.default_rng(21)
         trace = run_semcm(bin_, truth.params[0], SemConfig(), rng)
@@ -308,7 +307,7 @@ class TestRunSemcm:
 
     def test_determinism(self):
         sc = Scenario(seed=22)
-        bins, _, _ = generate_scenario(sc)
+        bins = generate_scenario(sc)
         cfg = SemConfig()
         init = init_heuristic(bins[17])
         t1 = run_semcm(bins[17], init, cfg, np.random.default_rng(3))
@@ -341,7 +340,7 @@ class TestRunSemcm:
 
     def test_trace_length_and_counts(self):
         sc = Scenario(seed=23)
-        bins, truth, _ = generate_scenario(sc)
+        bins, truth = generate_scenario(sc), ground_truth(sc)
         cfg = SemConfig(iterations=30, burn_window=5)
         trace = run_semcm(bins[16], truth.params[16], cfg,
                           np.random.default_rng(5))
@@ -352,7 +351,7 @@ class TestRunSemcm:
     def test_final_is_burn_window_mean(self, window):
         # np.mean of each parameter's last ``window`` values, bit for bit:
         # a row-by-row (axis=0) sum rounds differently in the last digit
-        bins, _, _ = generate_scenario(Scenario(seed=24))
+        bins = generate_scenario(Scenario(seed=24))
         cfg = SemConfig(iterations=30, burn_window=window)
         for b in (0, 9, 18):
             trace = run_semcm(bins[b], init_heuristic(bins[b]), cfg,
@@ -375,7 +374,7 @@ BATCH_CONFIG = SemConfig(iterations=15, burn_window=5)
 
 @pytest.fixture(scope="module")
 def lone_runs():
-    bins, _, _ = generate_scenario(Scenario(ld_step=1.0, n_per_bin=150,
+    bins = generate_scenario(Scenario(ld_step=1.0, n_per_bin=150,
                                             seed=BATCH_SEED))
     inits = [init_heuristic(b) for b in bins]
     alone = [run_semcm(b, init, BATCH_CONFIG, bin_rng(BATCH_SEED, i))

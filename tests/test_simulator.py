@@ -10,7 +10,7 @@ from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
                             parse_packet_log, write_packet_log)
 from chanest.model import linear_to_db
 from chanest.simulator import (MAX_PACKETS, Scenario, censoring_probability,
-                               generate_scenario, packet_rows,
+                               generate_scenario, ground_truth, packet_rows,
                                signal_omega_at, true_params_at)
 
 
@@ -70,7 +70,7 @@ class TestSignalOmega:
     def test_mean_line_from_samples(self):
         # per-bin average of uncensored signal draws follows A - B*ld
         sc = Scenario(mixing_alpha1=1.0, c_db=-1000.0, seed=1)
-        bins, truth, _ = generate_scenario(sc)
+        bins, truth = generate_scenario(sc), ground_truth(sc)
         for bin_, want in zip(bins, truth.mean1_db):
             got = linear_to_db(bin_.observed.mean())
             assert abs(got - want) < 0.3
@@ -79,22 +79,21 @@ class TestSignalOmega:
 class TestGenerateScenario:
     def test_no_censoring(self):
         sc = Scenario(c_db=-1000.0, seed=2)
-        bins, _, dropped = generate_scenario(sc)
+        bins = generate_scenario(sc)
         assert all(b.r1 == 0 for b in bins)
-        assert dropped == [0] * len(bins)
 
     def test_pure_signal_ignores_interference_level(self):
         # with mixing_alpha1=1 every retained sample is a signal draw, so the
         # interference level cannot change the dataset
-        a = generate_scenario(Scenario(mixing_alpha1=1.0, seed=3))[0]
+        a = generate_scenario(Scenario(mixing_alpha1=1.0, seed=3))
         b = generate_scenario(Scenario(mixing_alpha1=1.0, seed=3,
-                                       interference_mean_db=-50.0))[0]
+                                       interference_mean_db=-50.0))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.observed, y.observed)
 
     def test_default_scenario_loss_profile(self):
         sc = Scenario(seed=4)
-        bins, _, _ = generate_scenario(sc)
+        bins = generate_scenario(sc)
         fracs = [b.loss_fraction for b in bins]
         assert max(fracs) <= 0.5
         # losses grow with distance once censoring kicks in
@@ -104,22 +103,22 @@ class TestGenerateScenario:
 
     def test_analytic_censoring_probability(self):
         sc = Scenario(seed=5)
-        bins, _, _ = generate_scenario(sc)
+        bins = generate_scenario(sc)
         for b, bin_ in enumerate(bins):
             p = censoring_probability(bin_.ld, sc)
             sigma = math.sqrt(sc.n_per_bin * p * (1 - p))
             assert abs(bin_.r1 - sc.n_per_bin * p) <= 3 * sigma + 1e-9
 
     def test_determinism(self):
-        a = generate_scenario(Scenario(seed=6))[0]
-        b = generate_scenario(Scenario(seed=6))[0]
+        a = generate_scenario(Scenario(seed=6))
+        b = generate_scenario(Scenario(seed=6))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.observed, y.observed)
             assert x.r1 == y.r1
 
     def test_ground_truth_consistency(self):
         sc = Scenario(seed=7)
-        _, truth, _ = generate_scenario(sc)
+        truth = ground_truth(sc)
         for ld, phi, m1db in zip(truth.lds, truth.params, truth.mean1_db):
             assert phi == true_params_at(float(ld), sc)
             assert 10 * math.log10(phi.comp1.mean) == pytest.approx(m1db)
@@ -128,7 +127,7 @@ class TestGenerateScenario:
 class TestPacketRows:
     def test_matches_generate_scenario(self):
         sc = Scenario(seed=8, ld_start=30.0, ld_end=32.0, n_per_bin=200)
-        bins, _, _ = generate_scenario(sc)
+        bins = generate_scenario(sc)
         log = packet_rows(sc)
         assert log.dtype == LOG_DTYPE
         assert len(log) == 5 * 200
@@ -155,7 +154,7 @@ class TestPacketRows:
         sc = Scenario(ld_start=ld_start, ld_end=ld_start + (n_bins - 1) * step,
                       ld_step=step, n_per_bin=n_per_bin, m1=m1, m2=m2,
                       mixing_alpha1=alpha1, c_db=c_db, seed=seed)
-        want, _, _ = generate_scenario(sc)
+        want = generate_scenario(sc)
         text = io.StringIO()
         write_packet_log(text, packet_rows(sc))
         log = parse_packet_log(io.StringIO(text.getvalue()))
