@@ -1,7 +1,7 @@
 """Channel parameter estimation from left-censored Gamma-mixture RSSI data."""
 
 from .model import (CensoredBin, GammaParams, MixtureParams, PathLossLine,
-                    db_to_linear, linear_to_db, mixture_mean_db)
+                    db_to_linear, linear_to_db)
 from .semcm import (SemConfig, SemTrace, init_heuristic, run_semcm,
                     run_semcm_batch)
 from .simulator import Scenario, generate_scenario
@@ -9,8 +9,7 @@ from .simulator import Scenario, generate_scenario
 __all__ = [
     "CensoredBin", "GammaParams", "MixtureParams", "PathLossLine", "Scenario",
     "SemConfig", "SemTrace", "db_to_linear", "generate_scenario",
-    "init_heuristic", "linear_to_db", "mixture_mean_db", "run_semcm",
-    "run_semcm_batch",
+    "init_heuristic", "linear_to_db", "run_semcm", "run_semcm_batch",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,12 @@ def ml_minus_shape(samples) -> float:
     m = (6 + sqrt(36 + 48*d)) / (24*d) with d = ln(sample mean) - mean(ln x).
     """
     x = _validate_samples(samples)
-    delta = math.log(x.mean()) - float(np.log(x).mean())
+    with np.errstate(over="ignore"):
+        mean = float(x.mean())
+    if mean == math.inf:  # d is the same for x scaled by a power of two
+        x = np.ldexp(x, -np.frexp(x.max())[1])
+        mean = float(x.mean())
+    delta = math.log(mean) - float(np.log(x).mean())
     if delta <= 0.0:
         raise DegenerateSamplesError("zero log-dispersion: shape is infinite")
     return (6.0 + math.sqrt(36.0 + 48.0 * delta)) / (24.0 * delta)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import math
 import sys
 
@@ -116,16 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _estimation_flags(sp):
+    sem = semcm.SemConfig()
     sp.add_argument("--input", required=True, help="packet-log CSV")
     sp.add_argument("--c-db", type=_threshold_db, required=True,
                     help="censoring threshold in dBm")
     sp.add_argument("--ld-step", type=_ld_step, default=0.5)
-    sp.add_argument("--iters", type=_positive_int, default=50)
-    sp.add_argument("--burn", type=_positive_int, default=10,
+    sp.add_argument("--iters", type=_positive_int, default=sem.iterations)
+    sp.add_argument("--burn", type=_positive_int, default=sem.burn_window,
                     help="burn window, at most --iters")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--init-m1", type=_positive_float, default=None)
-    sp.add_argument("--digamma", choices=semcm.DIGAMMA_MODES, default="exact")
+    sp.add_argument("--digamma", choices=semcm.DIGAMMA_MODES,
+                    default=sem.digamma_mode)
 
 
 def _data_error(command, exc) -> int:
@@ -138,7 +141,7 @@ def cmd_simulate(args) -> int:
         with open(args.config) as fh:
             sc = simulator.Scenario.from_json(fh.read())
         if args.seed is not None:
-            sc = simulator.Scenario(**{**sc.__dict__, "seed": args.seed})
+            sc = dataclasses.replace(sc, seed=args.seed)
         with open(args.out, "w", newline="") as fh:
             ingest.write_packet_log(fh, simulator.packet_rows(sc))
         truth = simulator.ground_truth(sc)

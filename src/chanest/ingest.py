@@ -142,6 +142,5 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
                         np.split(received, first[1:])):
         obs = p[ok]
         bins.append(CensoredBin(ld=int(i) * ld_step, observed=obs,
-                                n_total=p.size, r1=p.size - obs.size,
-                                c_db=c_db))
+                                r1=p.size - obs.size, c_db=c_db))
     return bins

@@ -81,38 +81,24 @@ class MixtureParams:
         return cls(alpha1, GammaParams(m1, omega1), GammaParams(m2, omega2))
 
 
-def mixture_mean_db(params: MixtureParams, component: int) -> float:
-    """dBm value of the chosen component's Gamma mean, 10*log10(m*omega)."""
-    if component == 1:
-        comp = params.comp1
-    elif component == 2:
-        comp = params.comp2
-    else:
-        raise ValueError(f"component must be 1 or 2, got {component}")
-    return linear_to_db(comp.mean)
-
-
 @dataclass(frozen=True)
 class CensoredBin:
     """One distance bin: received linear powers plus the censored count.
 
     ``observed`` holds only received samples, all strictly above the linear
-    threshold; ``r1 = n_total - len(observed)`` packets were lost.
+    threshold; ``r1`` packets were lost.
     """
 
     ld: float
     observed: np.ndarray
-    n_total: int
     r1: int
     c_db: float
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=float)
         object.__setattr__(self, "observed", obs)
-        if self.r1 != self.n_total - obs.size or self.r1 < 0:
-            raise ValueError(
-                f"inconsistent counts: n_total={self.n_total}, "
-                f"observed={obs.size}, r1={self.r1}")
+        if self.r1 < 0:
+            raise ValueError(f"r1 must be >= 0, got {self.r1}")
         if obs.size and np.any(obs <= self.c_lin):
             raise ValueError("observed samples must be strictly above the "
                              "censoring threshold")
@@ -120,6 +106,10 @@ class CensoredBin:
     @property
     def c_lin(self) -> float:
         return db_to_linear(self.c_db)
+
+    @property
+    def n_total(self) -> int:
+        return self.observed.size + self.r1
 
     @property
     def loss_fraction(self) -> float:
@@ -142,15 +132,16 @@ def write_estimates(fh, rows):
     """Write the per-bin estimates CSV to the text file ``fh`` (opened with
     ``newline=""``) from ``(ld, params, loss_fraction, status)`` rows,
     deriving the dBm component means. ``params`` is None for a failed bin,
-    whose value fields stay empty."""
+    whose parameter and mean fields stay empty."""
     w = csv.writer(fh)
     w.writerow(ESTIMATE_FIELDS + ("status",))
-    blank = [""] * (len(ESTIMATE_FIELDS) - 1)
+    blank = [""] * (len(ESTIMATE_FIELDS) - 2)
     for ld, params, loss_fraction, status in rows:
         values = blank if params is None else [repr(float(v)) for v in (
-            *params.row(), mixture_mean_db(params, 1),
-            mixture_mean_db(params, 2), loss_fraction)]
-        w.writerow([repr(float(ld)), *values, status])
+            *params.row(), linear_to_db(params.comp1.mean),
+            linear_to_db(params.comp2.mean))]
+        w.writerow([repr(float(ld)), *values, repr(float(loss_fraction)),
+                    status])
 
 
 def _estimate_field(rec, name, line):

@@ -123,14 +123,14 @@ class CompletedAssignment:
 
 def e_step_observed(bins: BinBatch, phi: MixtureBatch) -> np.ndarray:
     """P(component 1 | received sample) for every sample of the batch; NaN
-    where both weighted component densities underflow.
+    where both weighted component densities underflow or a term overflows.
 
     Per bin, the log-ratio of the two weighted densities is
     c + dm * ln x - dw * x: only its three coefficients are formed per bin
     and spread over the samples.
     """
     n = bins.n_obs
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         const = np.log(np.column_stack([phi.alpha1, 1.0 - phi.alpha1])) \
             - special.gammaln(phi.m) - phi.m * np.log(phi.omega)
         inv = 1.0 / phi.omega
@@ -343,7 +343,8 @@ def init_heuristic(bin_: CensoredBin,
     with the interference offset +3 dB to break symmetry."""
     if bin_.observed.size < 2:
         raise InsufficientDataError("need >= 2 observed samples")
-    mean = float(bin_.observed.mean())
+    with np.errstate(over="ignore"):  # an infinite mean fails GammaParams
+        mean = float(bin_.observed.mean())
     m1 = float(m1_guess) if m1_guess is not None else baselines.mb_shape(
         bin_.observed)
     comp1 = GammaParams(m=m1, omega=mean / m1)

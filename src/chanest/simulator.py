@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -22,7 +23,11 @@ MAX_PACKETS = 10_000_000
 @dataclass(frozen=True)
 class Scenario:
     """Simulation configuration. The signal mean line in dBm is
-    pl_a - pl_b * ld; the interference mean is flat over distance."""
+    pl_a - pl_b * ld; the interference mean is flat over distance.
+
+    A value that is not a finite number of its field's type (an integer for
+    ``n_per_bin`` and ``seed``; never a bool) raises ValueError. A float
+    field is stored as a ``float``."""
 
     ld_start: float = 23.0
     ld_end: float = 32.0
@@ -40,9 +45,21 @@ class Scenario:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"scenario field {f.name!r} must be a "
+                                 f"{f.type}, got {value!r}")
+            try:
+                value = int(value) if f.type == "int" else float(value)
+            except OverflowError:
+                raise ValueError(f"scenario field {f.name!r} is an integer "
+                                 "beyond float range") from None
+            if not math.isfinite(value):
                 raise ValueError(f"scenario field {f.name!r} must be finite, "
                                  f"got {value!r}")
+            object.__setattr__(self, f.name, value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ld_end < self.ld_start or self.ld_step <= 0:
             raise ValueError("empty or invalid ld grid")
         if self.n_per_bin < 1:
@@ -65,30 +82,16 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        """Parse a JSON object of Scenario fields; anything else, an unknown
-        key or a value that is not a number of the field's type (``int``
-        for ``n_per_bin`` and ``seed``) raises ValueError, as does any value
-        ``Scenario`` itself rejects. An integer given for a float field
-        becomes a float; one beyond float range raises ValueError."""
+        """Parse a JSON object of Scenario fields; anything else or an
+        unknown key raises ValueError, as does any value ``Scenario``
+        itself rejects."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario JSON must be an object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(doc) - set(types)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        values = {}
-        for name, value in doc.items():
-            kinds = int if types[name] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"scenario field {name!r} must be a "
-                                 f"{types[name]}, got {value!r}")
-            try:
-                values[name] = value if kinds is int else float(value)
-            except OverflowError:
-                raise ValueError(f"scenario field {name!r} is an integer "
-                                 "beyond float range") from None
-        return cls(**values)
+        return cls(**doc)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -105,32 +108,25 @@ class GroundTruth:
     mean2_db: np.ndarray
 
 
-def signal_omega_at(ld: float, sc: Scenario) -> float:
-    """Signal scale at a bin: mean m1*omega1 sits on the path-loss line."""
-    return db_to_linear(sc.pl_a - sc.pl_b * ld) / sc.m1
-
-
-def interference_omega(sc: Scenario) -> float:
-    return db_to_linear(sc.interference_mean_db) / sc.m2
-
-
 def bin_rng(seed: int, bin_index: int) -> np.random.Generator:
     """Per-bin generator independent of scheduling order."""
     return np.random.default_rng([seed, bin_index])
 
 
 def true_params_at(ld: float, sc: Scenario) -> MixtureParams:
+    """A bin's true mixture: signal mean m1*omega1 on the path-loss line."""
     return MixtureParams(
-        alpha1=sc.mixing_alpha1,
-        comp1=GammaParams(m=sc.m1, omega=signal_omega_at(ld, sc)),
-        comp2=GammaParams(m=sc.m2, omega=interference_omega(sc)))
+        sc.mixing_alpha1,
+        GammaParams(sc.m1, db_to_linear(sc.pl_a - sc.pl_b * ld) / sc.m1),
+        GammaParams(sc.m2, db_to_linear(sc.interference_mean_db) / sc.m2))
 
 
 def _draw_bin(sc: Scenario, bin_index: int, ld: float):
     """Per-packet mixture values for one bin plus the keep (received) mask."""
     rng = bin_rng(sc.seed, bin_index)
-    signal = rng.gamma(sc.m1, signal_omega_at(ld, sc), sc.n_per_bin)
-    interf = rng.gamma(sc.m2, interference_omega(sc), sc.n_per_bin)
+    phi = true_params_at(ld, sc)
+    signal = rng.gamma(phi.comp1.m, phi.comp1.omega, sc.n_per_bin)
+    interf = rng.gamma(phi.comp2.m, phi.comp2.omega, sc.n_per_bin)
     take_signal = rng.random(sc.n_per_bin) < sc.mixing_alpha1
     mixed = np.where(take_signal, signal, interf)
     keep = mixed > db_to_linear(sc.c_db)
@@ -153,7 +149,7 @@ def generate_scenario(sc: Scenario) -> list[CensoredBin]:
     for b, ld in enumerate(sc.ld_grid.tolist()):
         mixed, keep = _draw_bin(sc, b, ld)
         obs = mixed[keep]
-        bins.append(CensoredBin(ld=ld, observed=obs, n_total=sc.n_per_bin,
+        bins.append(CensoredBin(ld=ld, observed=obs,
                                 r1=sc.n_per_bin - obs.size, c_db=sc.c_db))
     return bins
 

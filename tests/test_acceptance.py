@@ -12,7 +12,7 @@ from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.gamma_core import (EULER_GAMMA, digamma, sample_truncated_gamma,
                                 solve_shape)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
-                           MixtureParams, linear_to_db, mixture_mean_db)
+                           MixtureParams, linear_to_db)
 from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
                            e_step_censored, e_step_observed, init_heuristic,
                            run_semcm)
@@ -63,7 +63,7 @@ class TestCriterion1MeanLineRecovery:
         runs, elapsed = default_runs
         a_hat, b_hat = [], []
         for _, bins, _, traces in runs:
-            pts = [(bin_.ld, mixture_mean_db(tr.final, 1))
+            pts = [(bin_.ld, linear_to_db(tr.final.comp1.mean))
                    for bin_, tr in zip(bins, traces)
                    if not 26.0 <= bin_.ld <= 28.0]
             line = lse_line_fit(*zip(*pts))
@@ -138,8 +138,8 @@ class TestCriterion4SemMatchesMlWithoutInterference:
             c = special.gammaincinv(m_true, 0.05)
             obs = y[y > c]
             assert obs.size >= 500
-            bin_ = CensoredBin(ld=30.0, observed=obs, n_total=n,
-                               r1=n - obs.size, c_db=linear_to_db(c))
+            bin_ = CensoredBin(ld=30.0, observed=obs, r1=n - obs.size,
+                               c_db=linear_to_db(c))
             trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(), rng)
             ml = ml_minus_shape(obs)
             diffs.append(abs(trace.final.comp1.m - ml) / ml)
@@ -201,15 +201,15 @@ class TestCriterion6EStepOracle:
             w1 = mp.mpf(a1) * mp.e ** mp_logpdf(x, m1, om1)
             w2 = mp.mpf(1 - a1) * mp.e ** mp_logpdf(x, m2, om2)
             want = float(w1 / (w1 + w2))
-            received = BinBatch.of([CensoredBin(ld=0.0, observed=[x],
-                                                n_total=1, r1=0, c_db=-300.0)])
+            received = BinBatch.of([CensoredBin(ld=0.0, observed=[x], r1=0,
+                                                c_db=-300.0)])
             worst_o = max(worst_o,
                           abs(e_step_observed(received, phi)[0] - want))
 
             # an arbitrary positive threshold, as the linear value of a bin's
             # dB threshold
             censored = BinBatch.of([CensoredBin(
-                ld=0.0, observed=[], n_total=1, r1=1,
+                ld=0.0, observed=[], r1=1,
                 c_db=linear_to_db(float(rng.gamma(m1, om1))))])
             c = float(censored.c_lin[0])
             g1 = mp.mpf(a1) * mp.gammainc(mp.mpf(m1), 0, mp.mpf(c / om1),
@@ -232,8 +232,8 @@ class TestCriterion7MStepStationarity:
         from chanest.semcm import CompletedAssignment, m_step
         rng = np.random.default_rng(707)
         x = rng.gamma(7.0, 2.0, 500)
-        bins = BinBatch.of([CensoredBin(ld=25.0, observed=x, n_total=x.size,
-                                        r1=0, c_db=-300.0)])
+        bins = BinBatch.of([CensoredBin(ld=25.0, observed=x, r1=0,
+                                        c_db=-300.0)])
         completed = CompletedAssignment(np.ones(x.size, bool),
                                         np.empty(0, bool), np.empty(0))
         phi = MixtureBatch.of([MixtureParams(1.0, GammaParams(3.0, 1.0),

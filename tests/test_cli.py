@@ -109,6 +109,18 @@ class TestEstimate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_paper_digamma(self, tmp_path, scenario_config):
+        packets = _simulate(tmp_path, scenario_config)
+        outs = []
+        for mode in ("exact", "paper", "paper"):
+            out = tmp_path / "est.csv"
+            rc = main(["estimate", "--input", str(packets), "--c-db", "-109",
+                       "--digamma", mode, "--out", str(out), "--seed", "1"])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert read_estimates(out)[1] == ["ok"] * 5
+        assert outs[0] != outs[1] == outs[2]
+
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     def test_power_on_threshold_is_censored(self, tmp_path, command):
         # the last RSSI is above --c-db in dB, but its linear power rounds
@@ -132,34 +144,67 @@ class TestEstimate:
 
 
 class TestFailedBins:
-    def test_failed_bins_have_status_rows(self, tmp_path):
-        # bin 23: four equal powers, so the start's moment shape raises;
-        # bin 24: one received and one lost packet; bin 25: six distinct
-        rows = [(2.3, "-80")] * 4 + [(2.4, "-95"), (2.4, "")] + [
-            (2.5, str(-90 - 3 * k)) for k in range(6)]
+    @staticmethod
+    def _run(tmp_path, rows):
+        """Write (log10 distance, RSSI) rows as a log and run estimate and
+        compare on it at --ld-step 1; return each command's CSV rows."""
         packets = tmp_path / "p.csv"
         packets.write_text("seq,distance_m,rssi_dbm\n" + "".join(
             f"{s},{10 ** e!r},{r}\n" for s, (e, r) in enumerate(rows, 1)))
-        outs = {}
+        outs = []
         for command in ("estimate", "compare"):
             out = tmp_path / f"{command}.csv"
             rc = main([command, "--input", str(packets), "--c-db", "-109",
                        "--ld-step", "1", "--out", str(out)])
             assert rc == 0
             with out.open(newline="") as fh:
-                outs[command] = list(csv.DictReader(fh))
+                outs.append(list(csv.DictReader(fh)))
+        return outs
+
+    def test_failed_bins_have_status_rows(self, tmp_path):
+        # bin 23: four equal powers, so the start's moment shape raises;
+        # bin 24: one received and one lost packet; bin 25: six distinct
+        rows = [(2.3, "-80")] * 4 + [(2.4, "-95"), (2.4, "")] + [
+            (2.5, str(-90 - 3 * k)) for k in range(6)]
+        est, cmp_ = self._run(tmp_path, rows)
         statuses = ["numerical-failure", "insufficient-data", "ok"]
-        est, cmp_ = outs["estimate"], outs["compare"]
         assert [r["ld"] for r in est] == ["23.0", "24.0", "25.0"]
         assert [r["status"] for r in est] == statuses
         for row in est[:2]:
             assert all(v == "" for k, v in row.items()
-                       if k not in ("ld", "status"))
+                       if k not in ("ld", "loss_fraction", "status"))
         assert all(math.isfinite(float(v)) for k, v in est[2].items()
                    if k not in ("ld", "status"))
         assert [r["status"] for r in cmp_] == statuses
-        assert [r["loss_fraction"] for r in cmp_] == ["0.0", "0.5", "0.0"]
+        # a failed bin keeps its loss fraction in both files
+        for out in (est, cmp_):
+            assert [r["loss_fraction"] for r in out] == ["0.0", "0.5", "0.0"]
         assert cmp_[0]["sem_m1"] == cmp_[1]["sem_m1"] == ""
+
+    def test_power_sum_overflow(self, tmp_path):
+        # bin 23: eight powers near float max whose sum overflows; the start
+        # fails on the infinite mean, and ML- still has a shape
+        rows = [(2.3, repr(3078.0 + 0.5 * k)) for k in range(8)] + [
+            (2.5, str(-90 - 3 * k)) for k in range(6)]
+        est, cmp_ = self._run(tmp_path, rows)
+        for out in (est, cmp_):
+            assert [r["status"] for r in out] == ["numerical-failure", "ok"]
+        # ML- from mpmath at 60 digits on the same float powers
+        assert float(cmp_[0]["ml_m"]) == pytest.approx(14.637738490687786,
+                                                       rel=1e-12)
+        assert cmp_[0]["mb_m"] == "14.591665655574305"
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_huge_start_shape(self, tmp_path, scenario_config, command):
+        # the start's shape 1e308 times ln(omega) overflows in the E-step
+        packets = _simulate(tmp_path, scenario_config)
+        out = tmp_path / "o.csv"
+        rc = main([command, "--input", str(packets), "--c-db", "-109",
+                   "--init-m1", "1e308", "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == \
+                ["numerical-failure"] * 5
 
 
 class TestMalformedLog:

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chanest.model import (ESTIMATE_FIELDS, PARAM_FIELDS, CensoredBin,
                            GammaParams, MixtureParams, PathLossLine,
-                           db_to_linear, linear_to_db, mixture_mean_db,
-                           read_estimates, write_estimates)
+                           db_to_linear, linear_to_db, read_estimates,
+                           write_estimates)
 
 
 class TestConversions:
@@ -51,40 +53,37 @@ class TestMixtureParams:
 
 class TestMixtureMeanDb:
     def test_unit_mean(self):
-        assert mixture_mean_db(_phi(m1=1.0, om1=1.0), 1) == 0.0
+        assert linear_to_db(_phi(m1=1.0, om1=1.0).comp1.mean) == 0.0
 
     def test_definition(self):
         phi = _phi(m1=7.0, om1=10 ** -8.5 / 7.0)
-        assert mixture_mean_db(phi, 1) == pytest.approx(-85.0)
+        assert linear_to_db(phi.comp1.mean) == pytest.approx(-85.0)
 
     def test_monte_carlo_consistency(self):
         phi = _phi()
         draws = np.random.default_rng(1).gamma(phi.comp1.m, phi.comp1.omega,
                                                100_000)
-        assert mixture_mean_db(phi, 1) == pytest.approx(
+        assert linear_to_db(phi.comp1.mean) == pytest.approx(
             linear_to_db(draws.mean()), abs=10 * np.log10(1.02))
-
-    def test_rejects_bad_component(self):
-        with pytest.raises(ValueError):
-            mixture_mean_db(_phi(), 3)
 
 
 class TestCensoredBin:
     def test_counts(self):
-        b = CensoredBin(ld=23.0, observed=[1e-9, 2e-9], n_total=5, r1=3,
-                        c_db=-100.0)
+        b = CensoredBin(ld=23.0, observed=[1e-9, 2e-9], r1=3, c_db=-100.0)
+        # the packet count is derived, not stored
+        assert [f.name for f in dataclasses.fields(b)] == \
+            ["ld", "observed", "r1", "c_db"]
+        assert b.n_total == 5
         assert b.loss_fraction == pytest.approx(0.6)
         assert b.c_lin == pytest.approx(1e-10)
 
     def test_rejects_inconsistent_counts(self):
-        with pytest.raises(ValueError):
-            CensoredBin(ld=23.0, observed=[1e-9], n_total=3, r1=1,
-                        c_db=-100.0)
+        with pytest.raises(ValueError, match="r1 must be >= 0"):
+            CensoredBin(ld=23.0, observed=[1e-9], r1=-1, c_db=-100.0)
 
     def test_rejects_sample_at_or_below_threshold(self):
         with pytest.raises(ValueError):
-            CensoredBin(ld=23.0, observed=[1e-10], n_total=1, r1=0,
-                        c_db=-100.0)
+            CensoredBin(ld=23.0, observed=[1e-10], r1=0, c_db=-100.0)
 
 
 class TestPathLossLine:
@@ -102,8 +101,9 @@ class TestEstimateCsv:
         rows, statuses = read_estimates(path)
         assert statuses == ["ok"]
         want = {"ld": 23.5, **dict(zip(PARAM_FIELDS, phi.row())),
-                "mean1_db": mixture_mean_db(phi, 1),
-                "mean2_db": mixture_mean_db(phi, 2), "loss_fraction": 0.125}
+                "mean1_db": linear_to_db(phi.comp1.mean),
+                "mean2_db": linear_to_db(phi.comp2.mean),
+                "loss_fraction": 0.125}
         assert tuple(want) == ESTIMATE_FIELDS
         for key, value in want.items():
             assert rows[0][key] == pytest.approx(value, rel=1e-12)
@@ -112,11 +112,14 @@ class TestEstimateCsv:
         path = tmp_path / "est.csv"
         with open(path, "w", newline="") as fh:
             write_estimates(fh, [(30.0, None, 0.5, "insufficient-data")])
+        # a failed bin keeps its loss fraction; its other values stay empty
+        empty = "," * (len(ESTIMATE_FIELDS) - 2)
         assert path.read_text().splitlines()[1] == \
-            "30.0" + "," * (len(ESTIMATE_FIELDS) - 1) + ",insufficient-data"
+            f"30.0{empty},0.5,insufficient-data"
         rows, statuses = read_estimates(path)
         assert statuses == ["insufficient-data"]
         assert rows[0]["ld"] == 30.0
+        assert rows[0]["loss_fraction"] == 0.5
         assert np.isnan(rows[0]["m1"])
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "x"])

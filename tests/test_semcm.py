@@ -11,7 +11,7 @@ from chanest.errors import (DegenerateFitError, InsufficientDataError,
 from chanest.gamma_core import (REJECTION_MASS, digamma,
                                 sample_truncated_gamma)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
-                           MixtureParams, linear_to_db, mixture_mean_db)
+                           MixtureParams, linear_to_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
                            init_heuristic, m_step, run_semcm,
@@ -26,8 +26,7 @@ def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
 
 def _uncensored_bin(samples, c_db=-300.0):
     samples = np.asarray(samples, dtype=float)
-    return CensoredBin(ld=25.0, observed=samples, n_total=samples.size,
-                       r1=0, c_db=c_db)
+    return CensoredBin(ld=25.0, observed=samples, r1=0, c_db=c_db)
 
 
 def _batch(samples):
@@ -87,7 +86,7 @@ class TestEStepObserved:
 def _censored_batch(c_db):
     c = 10 ** (c_db / 10)
     return BinBatch.of([CensoredBin(ld=25.0, observed=[2 * c, 3 * c],
-                                    n_total=3, r1=1, c_db=c_db)])
+                                    r1=1, c_db=c_db)])
 
 
 class TestEStepCensored:
@@ -118,8 +117,8 @@ class TestEStepCensored:
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            BinBatch.of([CensoredBin(ld=25.0, observed=[1.0, 2.0], n_total=3,
-                                     r1=1, c_db=-math.inf)])
+            BinBatch.of([CensoredBin(ld=25.0, observed=[1.0, 2.0], r1=1,
+                                     c_db=-math.inf)])
 
 
 class TestSStep:
@@ -138,8 +137,8 @@ class TestSStep:
         assert out.z_cens.size == 0 and out.y_cens.size == 0
 
     def test_label_frequencies(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=10_001,
-                           r1=10_000, c_db=linear_to_db(0.5))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=10_000,
+                           c_db=linear_to_db(0.5))
         phi = _one(_phi())
         bins = BinBatch.of([bin_])
         t1 = e_step_censored(bins, phi)[0][0]
@@ -150,7 +149,7 @@ class TestSStep:
         assert abs(k - 10_000 * t1) < 3 * sigma
 
     def test_imputed_values_below_threshold(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=101, r1=100,
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=100,
                            c_db=linear_to_db(0.5))
         out, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
                         [np.random.default_rng(12)])
@@ -158,7 +157,7 @@ class TestSStep:
         assert np.all(out.y_cens > 0)
 
     def test_deterministic_given_seed(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0], n_total=10, r1=8,
+        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0], r1=8,
                            c_db=linear_to_db(1.0))
         a, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
                       [np.random.default_rng(13)])
@@ -174,8 +173,8 @@ class TestSStep:
         # Once the labels are settled, component 1's k1 values are imputed
         # (by rejection: its mass is >= REJECTION_MASS), then component 2's
         # (by inverse CDF: its mass is below it)
-        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], n_total=9,
-                           r1=6, c_db=linear_to_db(1.0))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], r1=6,
+                           c_db=linear_to_db(1.0))
         bins = BinBatch.of([bin_])
         phi = _one(_phi(m1=2.0, om1=0.5, m2=1.0, om2=2.5))
         out, failed = s_step(bins, phi, [np.random.default_rng(seed)])
@@ -202,8 +201,8 @@ class TestSStep:
         masses, shapes = (0.95, 0.05), (7.0, 35.0)
         omegas = [1.0 / special.gammaincinv(m, q)
                   for m, q in zip(shapes, masses)]
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], n_total=20_001,
-                           r1=20_000, c_db=linear_to_db(1.0))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=20_000,
+                           c_db=linear_to_db(1.0))
         phi = _one(_phi(alpha1=0.05, m1=shapes[0], om1=omegas[0],
                         m2=shapes[1], om2=omegas[1]))
         out, failed = s_step(BinBatch.of([bin_]), phi,
@@ -232,8 +231,8 @@ class TestMStep:
 
     def test_hand_built_scale_update(self):
         # comp1 gets {1, 3} observed, comp2 gets {10} observed + {0.5} imputed
-        bin_ = CensoredBin(ld=25.0, observed=[1.0, 3.0, 10.0], n_total=4,
-                           r1=1, c_db=linear_to_db(0.6))
+        bin_ = CensoredBin(ld=25.0, observed=[1.0, 3.0, 10.0], r1=1,
+                           c_db=linear_to_db(0.6))
         completed = CompletedAssignment(
             z_obs=np.array([True, True, False]),
             z_cens=np.array([False]), y_cens=np.array([0.5]))
@@ -283,7 +282,7 @@ class TestRunSemcm:
         bin_ = _uncensored_bin(x, c_db=-300.0)
         trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(),
                           np.random.default_rng(1))
-        got = mixture_mean_db(trace.final, 1)
+        got = linear_to_db(trace.final.comp1.mean)
         assert abs(got - (-85.0)) < 0.5
 
     def test_default_scenario_shape_recovery(self):
@@ -324,9 +323,9 @@ class TestRunSemcm:
         rng = np.random.default_rng(17)
         x = rng.gamma(4.0, 1.0, 300)
         scale = 10.0 ** (shift_db / 10.0)
-        b1 = CensoredBin(ld=25.0, observed=x, n_total=320, r1=20,
+        b1 = CensoredBin(ld=25.0, observed=x, r1=20,
                          c_db=linear_to_db(x.min() / 2))
-        b2 = CensoredBin(ld=25.0, observed=x * scale, n_total=320, r1=20,
+        b2 = CensoredBin(ld=25.0, observed=x * scale, r1=20,
                          c_db=linear_to_db(x.min() * scale / 2))
         cfg = SemConfig()
         f1 = run_semcm(b1, init_heuristic(b1), cfg,
@@ -361,7 +360,7 @@ class TestRunSemcm:
             assert trace.final.row() == tuple(want)
 
     def test_insufficient_data(self):
-        bin_ = CensoredBin(ld=25.0, observed=[1.0], n_total=5, r1=4,
+        bin_ = CensoredBin(ld=25.0, observed=[1.0], r1=4,
                            c_db=linear_to_db(0.5))
         with pytest.raises(InsufficientDataError):
             run_semcm(bin_, _phi(), SemConfig(), np.random.default_rng(0))
@@ -425,7 +424,7 @@ class TestBatchInvariance:
         bins, inits, alone = lone_runs
         huge = CensoredBin(ld=40.0, observed=[0.9e308, 1.0e308, 1.1e308,
                                               1.2e308],
-                           n_total=4, r1=0, c_db=bins[0].c_db)
+                           r1=0, c_db=bins[0].c_db)
         start = MixtureParams(0.5, GammaParams(2.0, 0.5e308),
                               GammaParams(2.0, 0.5e308))
         out = run_semcm_batch([*bins, huge], [*inits, start], BATCH_CONFIG,
@@ -439,7 +438,7 @@ class TestBatchInvariance:
 
     def test_too_few_samples_fail_alone(self, lone_runs):
         bins, inits, alone = lone_runs
-        tiny = CensoredBin(ld=40.0, observed=[1e-9], n_total=5, r1=4,
+        tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4,
                            c_db=bins[0].c_db)
         out = run_semcm_batch([tiny, bins[0]], [inits[0], inits[0]],
                               BATCH_CONFIG, [bin_rng(BATCH_SEED, 9),

@@ -11,7 +11,7 @@ from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
 from chanest.model import linear_to_db
 from chanest.simulator import (MAX_PACKETS, Scenario, censoring_probability,
                                generate_scenario, ground_truth, packet_rows,
-                               signal_omega_at, true_params_at)
+                               true_params_at)
 
 
 class TestScenario:
@@ -28,6 +28,22 @@ class TestScenario:
         sc = Scenario.from_json(json.dumps({"m1": 7, "seed": 3}))
         assert type(sc.m1) is float and sc.m1 == 7.0
         assert type(sc.seed) is int
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_per_bin": 2.5}, {"seed": "3"}, {"m1": True}, {"seed": -1},
+        {"seed": np.float64(3.0)}, {"m1": 10 ** 400}], ids=[
+        "float-int", "str-int", "bool-float", "negative-seed",
+        "numpy-float-int", "huge-int-float"])
+    def test_rejects_bad_values(self, kwargs):
+        field, = kwargs
+        with pytest.raises(ValueError, match=field):
+            Scenario(**kwargs)
+
+    def test_stores_field_types(self):
+        sc = Scenario(m1=7, n_per_bin=np.int64(10), seed=np.uint8(3))
+        assert type(sc.m1) is float and sc.m1 == 7.0
+        assert type(sc.n_per_bin) is int and type(sc.seed) is int
+        assert Scenario.from_json(sc.to_json()) == sc
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -60,12 +76,13 @@ class TestScenario:
 class TestSignalOmega:
     def test_reference_level(self):
         sc = Scenario()
-        omega = signal_omega_at(23.0, sc)
+        omega = true_params_at(23.0, sc).comp1.omega
         assert 10 * math.log10(sc.m1 * omega) == pytest.approx(-85.0)
 
     def test_flat_line(self):
         sc = Scenario(pl_b=0.0)
-        assert signal_omega_at(23.0, sc) == signal_omega_at(32.0, sc)
+        assert true_params_at(23.0, sc).comp1.omega == \
+            true_params_at(32.0, sc).comp1.omega
 
     def test_mean_line_from_samples(self):
         # per-bin average of uncensored signal draws follows A - B*ld
