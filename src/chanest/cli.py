@@ -13,12 +13,15 @@ import numpy as np
 
 from . import baselines, ingest, model, semcm, simulator
 from .errors import (ChanestError, DegenerateFitError, DegenerateSamplesError,
-                     InsufficientDataError, ParseError, RankDeficientFitError)
+                     InsufficientDataError, RankDeficientFitError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# Most floats that the SEM chain history of estimate or compare may hold,
+# bins x --iters x 5 parameters: 2**27 float64, 1 GiB
+MAX_HISTORY_FLOATS = 1 << 27
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,8 +164,13 @@ def _load_bins(args):
     with open(args.input, newline="", encoding="utf-8",
               errors="surrogateescape") as fh:
         log = ingest.parse_packet_log(fh)
-    return ingest.bin_by_ld(np.concatenate([log, ingest.infer_losses(log)]),
+    bins = ingest.bin_by_ld(np.concatenate([log, ingest.infer_losses(log)]),
                             args.ld_step, args.c_db)
+    if len(bins) * args.iters * len(model.PARAM_FIELDS) > MAX_HISTORY_FLOATS:
+        raise ChanestError(
+            f"{len(bins)} bins x {args.iters} iterations need a chain history "
+            f"above MAX_HISTORY_FLOATS = {MAX_HISTORY_FLOATS} floats")
+    return bins
 
 
 def _failure_status(exc) -> str:
@@ -215,7 +223,7 @@ def cmd_estimate(args) -> int:
                         continue
                     for it, row in enumerate(trace.iterates.tolist(), 1):
                         w.writerow([repr(bin_.ld), it, *map(repr, row)])
-    except (OSError, ParseError) as exc:
+    except (OSError, ChanestError) as exc:
         return _data_error("estimate", exc)
     return EXIT_OK
 
@@ -237,7 +245,7 @@ def cmd_compare(args) -> int:
                 sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
                 w.writerow([repr(bin_.ld), sem_m1, ml, mb,
                             repr(bin_.loss_fraction), status])
-    except (OSError, ParseError) as exc:
+    except (OSError, ChanestError) as exc:
         return _data_error("compare", exc)
     return EXIT_OK
 

@@ -6,6 +6,8 @@ an empty ``rssi_dbm`` field for a lost packet."""
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from array import array
 
@@ -24,6 +26,11 @@ MAX_SEQ_GAP = 10_000
 # Largest RSSI accepted: its linear power 10 ** (rssi / 10) ~ 1.78e308 is a
 # float; just above 10 * log10(float max) ~ 3082.547 dBm it overflows.
 MAX_RSSI_DBM = 3082.5
+# Characters of whole lines that parse_packet_log reads per block
+BLOCK_CHARS = 1 << 16
+_HEADER_LINES = (",".join(HEADER) + "\r\n", ",".join(HEADER) + "\n")
+# the characters of the numbers that write_packet_log writes
+_NUMBER = b"0123456789.+-e"
 
 
 def write_packet_log(stream, log: np.ndarray) -> None:
@@ -42,13 +49,87 @@ def parse_packet_log(stream) -> np.ndarray:
     above ``MAX_SEQ_GAP`` are reported together with their line numbers.
     A field longer than the ``csv`` module's limit is a ParseError naming
     its line. Open a file with ``errors="surrogateescape"`` so that bytes
-    which are not UTF-8 reach the parser and make their row malformed."""
-    seq, dist, rssi, lines = array("q"), array("d"), array("d"), array("q")
+    which are not UTF-8 reach the parser and make their row malformed.
+
+    The stream is read in blocks of whole lines. A block as
+    ``write_packet_log`` writes it is parsed in bulk; the first other block
+    and all after it go through the ``csv`` row loop, which alone names bad
+    lines. Either way the result is the same."""
+    logs, linenos, bad = [], [], []
+    header_ok, read = False, 0  # read: rows so far, one line each in bulk
+    for lines in iter(lambda: stream.readlines(BLOCK_CHARS), []):
+        if not read and lines[0] in _HEADER_LINES:
+            header_ok, read, lines = True, 1, lines[1:]
+        rows = _bulk_rows(lines) if header_ok else None
+        if rows is None:
+            header_ok, rows, where, bad = _row_loop(
+                itertools.chain(lines, stream), read, header_ok)
+            logs.append(rows)
+            linenos.append(where)
+            break
+        logs.append(rows)
+        linenos.append(np.arange(read + 1, read + 1 + rows.size))
+        read += rows.size
+    if not header_ok:
+        raise ParseError("missing header row", lines=[1])
+
+    log = np.concatenate(logs)  # one array per block read
+    order = np.argsort(log["seq"], kind="stable")
+    # sorted, so each step is in [0, 2**64): exact as uint64 where int64 wraps
+    step = np.diff(log["seq"][order]).view(np.uint64)
+    at = np.flatnonzero((step == 0) | (step > MAX_SEQ_GAP))
+    lineno = np.concatenate(linenos)[order]
+    bad = sorted({*bad, *lineno[at].tolist(), *lineno[at + 1].tolist()})
+    if bad:
+        raise ParseError(f"malformed rows, duplicate seqs or seq gaps above "
+                         f"{MAX_SEQ_GAP} at lines {bad}", lines=bad)
+    if not log.size:
+        raise ParseError("no packet rows after the header")
+    return log
+
+
+def _bulk_rows(lines: list[str]) -> np.ndarray | None:
+    """The rows of a block of whole lines, parsed in one ``np.loadtxt``
+    call; None if the block is not as ``write_packet_log`` writes it or a
+    row is malformed."""
+    if not lines:
+        return np.empty(0, LOG_DTYPE)
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if not (text.isascii() and text[-1] == "\n"
+            and (len(text) <= limit or max(map(len, lines)) <= limit)):
+        return None
+    # Without its number characters each line must read ',,\r\n' (or ',,\n'
+    # in every line). The header line ended in '\n', so the stream ends a
+    # line at a '\n', and n lines with n '\n's, the last at the end, end in
+    # one each.
+    end = "\r\n" if text.endswith("\r\n") else "\n"
+    if text.encode("ascii").translate(None, _NUMBER) \
+            != f",,{end}".encode("ascii") * len(lines):
+        return None
+    try:  # an empty RSSI field is a lost packet
+        rows = np.loadtxt(io.StringIO(text.replace(f",{end}", f",nan{end}")),
+                          LOG_DTYPE, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    d, r = rows["distance_m"], rows["rssi_dbm"]
+    if not np.all((d > 0) & (d < math.inf)) \
+            or np.any((r > MAX_RSSI_DBM) | (r == -math.inf)):
+        return None
+    return rows
+
+
+def _row_loop(lines, read: int, header_ok: bool):
+    """Parse ``lines`` row by row with ``csv.reader``, the rest of a log of
+    which ``read`` rows, one line each, are already read. Returns whether
+    the header was seen, a log of the well-formed rows, their line numbers
+    and the line numbers of the malformed ones."""
+    seq, dist, rssi, where = array("q"), array("d"), array("d"), array("q")
     bad = []
-    header_ok = False
-    reader = csv.reader(stream)
+    reader = csv.reader(lines)
     try:
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(reader, start=read + 1):
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not header_ok:
@@ -72,27 +153,13 @@ def parse_packet_log(stream) -> np.ndarray:
                 continue
             dist.append(d)
             rssi.append(math.nan if r is None else r)
-            lines.append(lineno)
+            where.append(lineno)
     except csv.Error as exc:  # a field over csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}",
-                         lines=[reader.line_num]) from None
-    if not header_ok:
-        raise ParseError("missing header row", lines=[1])
-
+        lineno = read + reader.line_num
+        raise ParseError(f"line {lineno}: {exc}", lines=[lineno]) from None
     log = np.empty(len(seq), LOG_DTYPE)
     log["seq"], log["distance_m"], log["rssi_dbm"] = seq, dist, rssi
-    order = np.argsort(log["seq"], kind="stable")
-    # sorted, so each step is in [0, 2**64): exact as uint64 where int64 wraps
-    step = np.diff(log["seq"][order]).view(np.uint64)
-    at = np.flatnonzero((step == 0) | (step > MAX_SEQ_GAP))
-    lineno = np.asarray(lines)[order]
-    bad = sorted({*bad, *lineno[at].tolist(), *lineno[at + 1].tolist()})
-    if bad:
-        raise ParseError(f"malformed rows, duplicate seqs or seq gaps above "
-                         f"{MAX_SEQ_GAP} at lines {bad}", lines=bad)
-    if not log.size:
-        raise ParseError("no packet rows after the header")
-    return log
+    return header_ok, log, np.asarray(where), bad
 
 
 def infer_losses(log: np.ndarray) -> np.ndarray:

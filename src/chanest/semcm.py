@@ -195,12 +195,15 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
         for _ in range(EMPTY_COMPONENT_RETRIES):
             np.less(rng.random(n), t_obs[o0:o1], out=z)
             k1 = np.count_nonzero(rng.random(r1) < t1) if r1 else 0
-            if 0 < np.count_nonzero(z) + k1 < n + r1:
+            # censored labels of both components need no observed count
+            if 0 < k1 < r1 or 0 < np.count_nonzero(z) + k1 < n + r1:
                 break
         else:
             failed[b] = DegenerateFitError(
                 f"bin ld={bins.ld[b]}: a component stayed empty after "
                 f"{EMPTY_COMPONENT_RETRIES} redraws")
+            continue
+        if not r1:
             continue
         z_cens[c0:c0 + k1] = True
         for j, (a, e) in enumerate(((c0, c0 + k1), (c0 + k1, c1))):

@@ -26,8 +26,10 @@ class Scenario:
     pl_a - pl_b * ld; the interference mean is flat over distance.
 
     A value that is not a finite number of its field's type (an integer for
-    ``n_per_bin`` and ``seed``; never a bool) raises ValueError. A float
-    field is stored as a ``float``."""
+    ``n_per_bin`` and ``seed``; never a bool) raises ValueError, and so does
+    a distance, a component scale or a linear threshold that the fields
+    imply and that is not a finite number > 0. A float field is stored as a
+    ``float``."""
 
     ld_start: float = 23.0
     ld_end: float = 32.0
@@ -73,6 +75,20 @@ class Scenario:
             raise ValueError("shapes must be > 0")
         if not (0.0 <= self.mixing_alpha1 <= 1.0):
             raise ValueError("mixing_alpha1 must be in [0, 1]")
+        # linear in dB over the grid, so its two ends bound each of these
+        ends = np.array([self.ld_start, self.ld_end])
+        with np.errstate(over="ignore"):
+            implied = {
+                "distance": 10.0 ** (ends / 10.0),
+                "signal scale": db_to_linear(self.pl_a - self.pl_b * ends)
+                / self.m1,
+                "interference scale": db_to_linear(self.interference_mean_db)
+                / self.m2,
+                "linear threshold": db_to_linear(self.c_db)}
+        for name, value in implied.items():
+            if not np.all((value > 0) & (value < np.inf)):
+                raise ValueError(f"scenario {name} must be finite and > 0, "
+                                 f"got {np.asarray(value).tolist()}")
 
     @property
     def ld_grid(self) -> np.ndarray:

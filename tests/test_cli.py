@@ -80,6 +80,23 @@ class TestSimulate:
         assert rc == 2
         assert "chanest simulate:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"pl_a": 4000}, "signal scale"),
+        ({"ld_end": 4000, "pl_b": 0}, "distance"),
+        ({"m2": 1e-320}, "interference scale"),
+        ({"c_db": -4000}, "linear threshold")])
+    def test_scenario_beyond_float_range(self, tmp_path, capsys, doc, name):
+        cfg, out = tmp_path / "big.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps(doc))
+        out.write_text("earlier output\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails too
+            rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"chanest simulate: scenario {name} must be finite and > 0")
+        assert out.read_text() == "earlier output\n"
+
 
 class TestEstimate:
     def test_pipeline(self, tmp_path, scenario_config):
@@ -141,6 +158,25 @@ class TestEstimate:
         rc = main(["estimate", "--input", str(tmp_path / "nope.csv"),
                    "--c-db", "-109", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_history_over_cap(self, tmp_path, scenario_config, capsys,
+                              monkeypatch, command):
+        packets = _simulate(tmp_path, scenario_config)
+
+        def unreachable(*args):
+            raise AssertionError("estimated past the chain-history cap")
+
+        monkeypatch.setattr(semcm, "run_semcm_batch", unreachable)
+        out = tmp_path / "o.csv"
+        out.write_text("earlier output\n")
+        iters = cli.MAX_HISTORY_FLOATS // (5 * 5) + 1  # 5 bins
+        rc = main([command, "--input", str(packets), "--c-db", "-109",
+                   "--iters", str(iters), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"chanest {command}: 5 bins x {iters} iterations")
+        assert out.read_text() == "earlier output\n"
 
 
 class TestFailedBins:

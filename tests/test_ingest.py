@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chanest import ingest
 from chanest.errors import ParseError
 from chanest.ingest import (LOG_DTYPE, MAX_RSSI_DBM, MAX_SEQ_GAP, bin_by_ld,
                             infer_losses, parse_packet_log, write_packet_log)
+from chanest.simulator import Scenario, packet_rows
 
 
 def _parse(text):
@@ -145,6 +148,138 @@ class TestWritePacketLog:
             # NaN bits compare equal to NaN bits; other values bit for bit
             np.testing.assert_array_equal(back[field].view(np.int64),
                                           log[field].view(np.int64))
+
+
+@contextlib.contextmanager
+def _row_loop_only():
+    """parse_packet_log with every line read by the csv row loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_HEADER_LINES", ())
+        mp.setattr(ingest, "_bulk_rows", lambda lines: None)
+        yield
+
+
+def _outcome(stream):
+    """The bits of each field of the parsed log, or the ParseError's
+    message and lines."""
+    try:
+        log = parse_packet_log(stream)
+    except ParseError as exc:
+        return str(exc), exc.lines
+    return [log[f].view(np.int64).tolist() for f in LOG_DTYPE.names]
+
+
+# fields that the row loop rejects or reads differently from a plain number
+ODD_FIELDS = ["nan", "inf", "-inf", "1_0", " 5", "5 ", "", "+5", "007",
+              "1e3", "5.0", "1.", ".5", "-", ".", "1e+", "1.2.3", "e",
+              str(2 ** 63), str(-2 ** 63 - 1), "-9\udcff0", "0", "0.0",
+              "-1.5", "1e-400", "1e400", "-1e400", "3082.6",
+              "0" * csv.field_size_limit() + "5"]
+ODD_LINES = ["# a comment", "", '7,"100\r\n5",-90', '8,"5']
+SEQ_SHIFTS = [1, -1, MAX_SEQ_GAP + 1, -10 ** 12]
+LINE_ENDS = ["\n", "\r"]
+NEWLINES = [None, "", "\n", "\r", "\r\n"]  # of the StringIO read
+AT = st.integers(0, 40)  # a line index, clamped to the log
+LOG_MUTATION = st.one_of(
+    st.tuples(st.just("insert"), AT, st.sampled_from(ODD_LINES)),
+    st.tuples(st.just("field"), AT, st.integers(0, 2),
+              st.sampled_from(ODD_FIELDS)),
+    st.tuples(st.just("duplicate"), AT, AT),
+    st.tuples(st.just("seq"), AT, st.sampled_from(SEQ_SHIFTS)),
+    st.tuples(st.just("ends"), AT, st.sampled_from(LINE_ENDS)),
+    st.tuples(st.just("no final newline")))
+
+
+def _mutated_text(log, mutations):
+    """A log as write_packet_log writes it, mutated line by line."""
+    out = io.StringIO()
+    write_packet_log(out, log)
+    lines = out.getvalue().split("\r\n")[:-1]
+    ends = ["\r\n"] * len(lines)
+    for kind, *arg in mutations:
+        at = min(arg[0], len(lines) - 1) if arg else 0
+        if kind == "insert":
+            lines.insert(at, arg[1])
+            ends.insert(at, ends[at])
+        elif kind == "field":
+            fields = lines[at].split(",")
+            fields[min(arg[1], len(fields) - 1)] = arg[2]
+            lines[at] = ",".join(fields)
+        elif kind == "duplicate":
+            lines.insert(arg[1], lines[at])
+            ends.insert(arg[1], ends[at])
+        elif kind == "seq":
+            seq, _, rest = lines[at].partition(",")
+            with contextlib.suppress(ValueError):
+                lines[at] = f"{int(seq) + arg[1]},{rest}"
+        elif kind == "ends":
+            ends[at:] = [arg[1]] * (len(ends) - at)
+        else:
+            ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBulkParse:
+    """Blocks as write_packet_log writes them skip the csv row loop; the
+    result is the row loop's, whatever the input."""
+
+    @staticmethod
+    def _check(text, block, newline):
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks, so that a mutation lands in block k > 0
+            mp.setattr(ingest, "BLOCK_CHARS", block)
+            got = _outcome(io.StringIO(text, newline=newline))
+            with _row_loop_only():
+                want = _outcome(io.StringIO(text, newline=newline))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=_logs(), mutations=st.lists(LOG_MUTATION, max_size=4),
+           block=st.sampled_from([1, 60, 200, 1 << 16]),
+           newline=st.sampled_from(NEWLINES))
+    def test_same_as_row_loop(self, log, mutations, block, newline):
+        self._check(_mutated_text(log, mutations), block, newline)
+
+    def test_each_mutation_after_bulk_blocks(self):
+        log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
+        mutations = [("insert", 20, line) for line in ODD_LINES] + [
+            ("field", 20, col, f) for col in range(3) for f in ODD_FIELDS] \
+            + [("duplicate", 5, 20), ("no final newline",)] \
+            + [("seq", 20, shift) for shift in SEQ_SHIFTS] \
+            + [("ends", 20, end) for end in LINE_ENDS]
+        for mutation in mutations:
+            text = _mutated_text(log, [mutation])
+            for newline in NEWLINES:
+                self._check(text, 100, newline)
+
+    @pytest.mark.parametrize("strip_losses, end", [
+        (False, "\r\n"), (True, "\r\n"), (False, "\n")])
+    def test_cli_logs_skip_row_loop(self, tmp_path, monkeypatch,
+                                    strip_losses, end):
+        out = io.StringIO()
+        write_packet_log(out, packet_rows(Scenario(n_per_bin=300, seed=3)))
+        lines = out.getvalue().splitlines(keepends=True)
+        assert sum(line.endswith(",\r\n") for line in lines) > 100
+        if strip_losses:
+            lines = [line for line in lines if not line.endswith(",\r\n")]
+        path = tmp_path / "packets.csv"
+        path.write_text("".join(lines).replace("\r\n", end), newline="")
+        assert path.stat().st_size > 3 * ingest.BLOCK_CHARS
+
+        def parse():  # as the CLI opens its --input
+            with open(path, newline="", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                return _outcome(fh)
+
+        with _row_loop_only():
+            want = parse()
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("a block went through the csv row loop")
+
+        monkeypatch.setattr(ingest.csv, "reader", no_row_loop)
+        assert parse() == want
+        assert isinstance(want, list)
 
 
 def _reference_losses(log):
