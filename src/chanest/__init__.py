@@ -2,13 +2,13 @@
 
 from .model import (CensoredBin, GammaParams, MixtureParams, PathLossLine,
                     db_to_linear, linear_to_db)
-from .semcm import (SemConfig, SemTrace, init_heuristic, run_semcm,
+from .semcm import (SemConfig, SemTrace, fit_bins, init_heuristic, run_semcm,
                     run_semcm_batch)
 from .simulator import Scenario, generate_scenario
 
 __all__ = [
     "CensoredBin", "GammaParams", "MixtureParams", "PathLossLine", "Scenario",
-    "SemConfig", "SemTrace", "db_to_linear", "generate_scenario",
+    "SemConfig", "SemTrace", "db_to_linear", "fit_bins", "generate_scenario",
     "init_heuristic", "linear_to_db", "run_semcm", "run_semcm_batch",
 ]
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import baselines, ingest, model, semcm, simulator
 from .errors import (ChanestError, DegenerateFitError, DegenerateSamplesError,
-                     InsufficientDataError, RankDeficientFitError)
+                     InsufficientDataError, NumericalFailureError,
+                     RankDeficientFitError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,95 +160,76 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_bins(args):
-    # undecodable bytes reach the parser, which reports their rows
-    with open(args.input, newline="", encoding="utf-8",
-              errors="surrogateescape") as fh:
-        log = ingest.parse_packet_log(fh)
-    bins = ingest.bin_by_ld(np.concatenate([log, ingest.infer_losses(log)]),
-                            args.ld_step, args.c_db)
-    if len(bins) * args.iters * len(model.PARAM_FIELDS) > MAX_HISTORY_FLOATS:
-        raise ChanestError(
-            f"{len(bins)} bins x {args.iters} iterations need a chain history "
-            f"above MAX_HISTORY_FLOATS = {MAX_HISTORY_FLOATS} floats")
-    return bins
-
-
 def _failure_status(exc) -> str:
-    if isinstance(exc, InsufficientDataError):
-        return "insufficient-data"
-    if isinstance(exc, DegenerateFitError):
-        return "degenerate-fit"
-    return "numerical-failure"
+    return {InsufficientDataError: "insufficient-data",
+            DegenerateFitError: "degenerate-fit",
+            NumericalFailureError: "numerical-failure"}[type(exc)]
 
 
-def _estimate_bins(bins, args):
-    """Run the SEM chains of all bins as one batch. Returns one
-    ``(bin, trace, status)`` per bin; a failed bin has no trace and its
-    failure as the status."""
-    config = semcm.SemConfig(iterations=args.iters, burn_window=args.burn,
-                             digamma_mode=args.digamma)
-    outcomes, inits = [None] * len(bins), {}
-    for b, bin_ in enumerate(bins):
+def _estimation_command(args, paths, write) -> int:
+    """Fit the binned log; hand ``write`` a ``(bin, trace | None, status)``
+    row per bin, then an open file, or None, per entry of ``paths``."""
+    try:
+        # undecodable bytes reach the parser, which reports their rows
+        with open(args.input, newline="", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            log = ingest.parse_packet_log(fh)
+        bins = ingest.bin_by_ld(np.concatenate(
+            [log, ingest.infer_losses(log)]), args.ld_step, args.c_db)
+        history = len(bins) * args.iters * len(model.PARAM_FIELDS)
+        if history > MAX_HISTORY_FLOATS:
+            raise ChanestError(
+                f"{len(bins)} bins x {args.iters} iterations need a chain "
+                f"history above MAX_HISTORY_FLOATS = {MAX_HISTORY_FLOATS} "
+                "floats")
+        with contextlib.ExitStack() as stack:
+            # opened before fitting, so that an unwritable path fails fast
+            outs = [path and stack.enter_context(open(path, "w", newline=""))
+                    for path in paths]
+            config = semcm.SemConfig(args.iters, args.burn, args.digamma)
+            results = semcm.fit_bins(bins, config, args.seed, args.init_m1)
+            write([(bin_, res, "ok") if isinstance(res, semcm.SemTrace)
+                   else (bin_, None, _failure_status(res))
+                   for bin_, res in zip(bins, results)], *outs)
+    except (OSError, ChanestError) as exc:
+        return _data_error(args.command, exc)
+    return EXIT_OK
+
+
+def _write_estimates(results, out, trace_fh):
+    model.write_estimates(out, [
+        (bin_.ld, None if trace is None else trace.final, bin_.loss_fraction,
+         status) for bin_, trace, status in results])
+    if trace_fh:
+        w = csv.writer(trace_fh)
+        w.writerow(["ld", "iteration", *model.PARAM_FIELDS])
+        for bin_, trace, _ in results:
+            if trace is None:
+                continue
+            for it, row in enumerate(trace.iterates.tolist(), 1):
+                w.writerow([repr(bin_.ld), it, *map(repr, row)])
+
+
+def _write_comparison(results, out):
+    w = csv.writer(out)
+    w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction", "status"])
+    for bin_, trace, status in results:
         try:
-            inits[b] = semcm.init_heuristic(bin_, args.init_m1)
-        except (ChanestError, ValueError) as exc:
-            outcomes[b] = exc
-    traces = semcm.run_semcm_batch(
-        [bins[b] for b in inits], list(inits.values()), config,
-        [simulator.bin_rng(args.seed, b) for b in inits])
-    for b, trace in zip(inits, traces):
-        outcomes[b] = trace
-    return [(bin_, out, "ok") if isinstance(out, semcm.SemTrace)
-            else (bin_, None, _failure_status(out))
-            for bin_, out in zip(bins, outcomes)]
+            ml = repr(baselines.ml_minus_shape(bin_.observed))
+            mb = repr(baselines.mb_shape(bin_.observed))
+        except (DegenerateSamplesError, ValueError):
+            ml = mb = ""
+        sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
+        w.writerow([repr(bin_.ld), sem_m1, ml, mb, repr(bin_.loss_fraction),
+                    status])
 
 
 def cmd_estimate(args) -> int:
-    try:
-        bins = _load_bins(args)
-        # opened before estimating, so that an unwritable path fails fast
-        with open(args.out, "w", newline="") as out, \
-                (open(args.trace, "w", newline="") if args.trace
-                 else contextlib.nullcontext()) as trace_fh:
-            results = _estimate_bins(bins, args)
-            model.write_estimates(out, [
-                (bin_.ld, None if trace is None else trace.final,
-                 bin_.loss_fraction, status)
-                for bin_, trace, status in results])
-            if trace_fh:
-                w = csv.writer(trace_fh)
-                w.writerow(["ld", "iteration", *model.PARAM_FIELDS])
-                for bin_, trace, _ in results:
-                    if trace is None:
-                        continue
-                    for it, row in enumerate(trace.iterates.tolist(), 1):
-                        w.writerow([repr(bin_.ld), it, *map(repr, row)])
-    except (OSError, ChanestError) as exc:
-        return _data_error("estimate", exc)
-    return EXIT_OK
+    return _estimation_command(args, (args.out, args.trace), _write_estimates)
 
 
 def cmd_compare(args) -> int:
-    try:
-        bins = _load_bins(args)
-        with open(args.out, "w", newline="") as fh:
-            results = _estimate_bins(bins, args)
-            w = csv.writer(fh)
-            w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction",
-                        "status"])
-            for bin_, trace, status in results:
-                try:
-                    ml = repr(baselines.ml_minus_shape(bin_.observed))
-                    mb = repr(baselines.mb_shape(bin_.observed))
-                except (DegenerateSamplesError, ValueError):
-                    ml = mb = ""
-                sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
-                w.writerow([repr(bin_.ld), sem_m1, ml, mb,
-                            repr(bin_.loss_fraction), status])
-    except (OSError, ChanestError) as exc:
-        return _data_error("compare", exc)
-    return EXIT_OK
+    return _estimation_command(args, (args.out,), _write_comparison)
 
 
 def cmd_fit(args) -> int:
@@ -266,7 +248,8 @@ def cmd_fit(args) -> int:
         values.append(row[key])
     try:
         line = baselines.lse_line_fit(lds, values)
-    except RankDeficientFitError as exc:
+    # ValueError: finite estimates whose line overflows, from PathLossLine
+    except (RankDeficientFitError, ValueError) as exc:
         print(f"chanest fit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     out = f"A,B\n{line.A!r},{line.B!r}\n"

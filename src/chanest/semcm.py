@@ -21,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from . import baselines
-from .errors import (DegenerateFitError, InsufficientDataError,
-                     NumericalFailureError)
+from .errors import (DegenerateFitError, DegenerateSamplesError,
+                     InsufficientDataError, NumericalFailureError)
 from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR,
                          draw_truncated_gamma, solve_shape)
 # not called here: bench/child.py traces the sampler under this module's name
@@ -353,3 +353,26 @@ def init_heuristic(bin_: CensoredBin,
     comp1 = GammaParams(m=m1, omega=mean / m1)
     comp2 = GammaParams(m=1.0, omega=mean * db_to_linear(3.0))
     return MixtureParams(alpha1=0.5, comp1=comp1, comp2=comp2)
+
+
+def fit_bins(bins, config: SemConfig, seed: int,
+             init_m1: float | None = None) -> list:
+    """Fit every bin in one ``run_semcm_batch``, bin b from
+    ``init_heuristic(bins[b], init_m1)`` with ``default_rng([seed, b])``.
+    Returns per bin its ``SemTrace`` or the ``InsufficientDataError``,
+    ``DegenerateFitError`` or ``NumericalFailureError`` that ended it (a
+    start that fails on equal samples or an overflowed mean is the last)."""
+    out, inits = [None] * len(bins), {}
+    for b, bin_ in enumerate(bins):
+        try:
+            inits[b] = init_heuristic(bin_, init_m1)
+        except InsufficientDataError as exc:
+            out[b] = exc
+        except (DegenerateSamplesError, ValueError) as exc:
+            out[b] = NumericalFailureError(f"bin ld={bin_.ld}: {exc}")
+    traces = run_semcm_batch(
+        [bins[b] for b in inits], list(inits.values()), config,
+        [np.random.default_rng([seed, b]) for b in inits])
+    for b, trace in zip(inits, traces):
+        out[b] = trace
+    return out

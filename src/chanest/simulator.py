@@ -98,10 +98,13 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        """Parse a JSON object of Scenario fields; anything else or an
-        unknown key raises ValueError, as does any value ``Scenario``
-        itself rejects."""
-        doc = json.loads(text)
+        """Parse a JSON object of Scenario fields. Anything else, a document
+        nested too deeply to parse, an unknown key or a value ``Scenario``
+        itself rejects raises ValueError."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("scenario JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("scenario JSON must be an object")
         unknown = set(doc) - {f.name for f in fields(cls)}
@@ -124,11 +127,6 @@ class GroundTruth:
     mean2_db: np.ndarray
 
 
-def bin_rng(seed: int, bin_index: int) -> np.random.Generator:
-    """Per-bin generator independent of scheduling order."""
-    return np.random.default_rng([seed, bin_index])
-
-
 def true_params_at(ld: float, sc: Scenario) -> MixtureParams:
     """A bin's true mixture: signal mean m1*omega1 on the path-loss line."""
     return MixtureParams(
@@ -139,7 +137,7 @@ def true_params_at(ld: float, sc: Scenario) -> MixtureParams:
 
 def _draw_bin(sc: Scenario, bin_index: int, ld: float):
     """Per-packet mixture values for one bin plus the keep (received) mask."""
-    rng = bin_rng(sc.seed, bin_index)
+    rng = np.random.default_rng([sc.seed, bin_index])
     phi = true_params_at(ld, sc)
     signal = rng.gamma(phi.comp1.m, phi.comp1.omega, sc.n_per_bin)
     interf = rng.gamma(phi.comp2.m, phi.comp2.omega, sc.n_per_bin)

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from chanest import cli, ingest, semcm, simulator
 from chanest.cli import main
-from chanest.model import read_estimates
+from chanest.errors import (DegenerateFitError, InsufficientDataError,
+                            NumericalFailureError)
+from chanest.model import PARAM_FIELDS, read_estimates
 from chanest.simulator import Scenario
 
 
@@ -80,6 +82,17 @@ class TestSimulate:
         assert rc == 2
         assert "chanest simulate:" in capsys.readouterr().err
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        # beyond the json module's recursion limit; json.dumps cannot
+        # build it either
+        cfg, out = tmp_path / "deep.json", tmp_path / "x.csv"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "chanest simulate: scenario JSON is nested too deeply\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, name", [
         ({"pl_a": 4000}, "signal scale"),
         ({"ld_end": 4000, "pl_b": 0}, "distance"),
@@ -125,6 +138,34 @@ class TestEstimate:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_matches_library(self, tmp_path):
+        # two of the seven bins have fewer than 2 received packets
+        sc = Scenario(ld_start=29.0, ld_end=32.0, n_per_bin=5, c_db=-100.0,
+                      seed=3)
+        cfg, packets, est = (tmp_path / name for name in
+                             ("sc.json", "p.csv", "est.csv"))
+        cfg.write_text(sc.to_json())
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(packets)]) == 0
+        assert main(["estimate", "--input", str(packets), "--c-db", "-100",
+                     "--seed", "2", "--out", str(est)]) == 0
+        results = semcm.fit_bins(ingest.bin_by_ld(
+            simulator.packet_rows(sc), sc.ld_step, sc.c_db),
+            semcm.SemConfig(), 2)
+        status = {semcm.SemTrace: "ok",
+                  InsufficientDataError: "insufficient-data",
+                  DegenerateFitError: "degenerate-fit",
+                  NumericalFailureError: "numerical-failure"}
+        with est.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == \
+            [status[type(res)] for res in results]
+        assert "insufficient-data" in [r["status"] for r in rows]
+        for row, res in zip(rows, results):
+            assert [row[f] for f in PARAM_FIELDS] == (
+                [repr(v) for v in res.final.row()]
+                if isinstance(res, semcm.SemTrace) else [""] * 5)
 
     def test_paper_digamma(self, tmp_path, scenario_config):
         packets = _simulate(tmp_path, scenario_config)
@@ -433,6 +474,17 @@ class TestFit:
                        "23.0,0.5,7,1,35,1,-85,-97,0.0,ok\n")
         rc = main(["fit", "--input", str(est)])
         assert rc == 3
+
+    def test_overflowing_line_is_numerical_failure(self, tmp_path, capsys):
+        # finite estimates whose slope, 2e308, overflows
+        est = tmp_path / "est.csv"
+        est.write_text("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
+                       "loss_fraction,status\n"
+                       "1.0,0.5,7,1,35,1,1e308,-97,0.0,ok\n"
+                       "2.0,0.5,7,1,35,1,-1e308,-97,0.0,ok\n")
+        rc = main(["fit", "--input", str(est)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("chanest fit:")
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_nonfinite_estimate_is_data_error(self, tmp_path, capsys, value):

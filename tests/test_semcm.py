@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
                            MixtureParams, linear_to_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
-                           init_heuristic, m_step, run_semcm,
+                           fit_bins, init_heuristic, m_step, run_semcm,
                            run_semcm_batch, s_step)
-from chanest.simulator import (Scenario, bin_rng, generate_scenario,
-                               ground_truth, true_params_at)
+from chanest.simulator import (Scenario, generate_scenario, ground_truth,
+                               true_params_at)
 
 
 def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
@@ -354,7 +355,7 @@ class TestRunSemcm:
         cfg = SemConfig(iterations=30, burn_window=window)
         for b in (0, 9, 18):
             trace = run_semcm(bins[b], init_heuristic(bins[b]), cfg,
-                              bin_rng(24, b))
+                              np.random.default_rng([24, b]))
             want = [np.mean(col.tolist()) for col in
                     trace.iterates[-window:].T]
             assert trace.final.row() == tuple(want)
@@ -371,12 +372,16 @@ BATCH_SEED = 6
 BATCH_CONFIG = SemConfig(iterations=15, burn_window=5)
 
 
+def _batch_rng(b):
+    return np.random.default_rng([BATCH_SEED, b])
+
+
 @pytest.fixture(scope="module")
 def lone_runs():
     bins = generate_scenario(Scenario(ld_step=1.0, n_per_bin=150,
                                             seed=BATCH_SEED))
     inits = [init_heuristic(b) for b in bins]
-    alone = [run_semcm(b, init, BATCH_CONFIG, bin_rng(BATCH_SEED, i))
+    alone = [run_semcm(b, init, BATCH_CONFIG, _batch_rng(i))
              for i, (b, init) in enumerate(zip(bins, inits))]
     return bins, inits, alone
 
@@ -390,7 +395,7 @@ class TestBatchInvariance:
                                    min_size=1, unique=True))
         out = run_semcm_batch([bins[b] for b in order],
                               [inits[b] for b in order], BATCH_CONFIG,
-                              [bin_rng(BATCH_SEED, b) for b in order])
+                              [_batch_rng(b) for b in order])
         for b, trace in zip(order, out):
             assert trace.final == alone[b].final
             assert np.array_equal(trace.iterates, alone[b].iterates)
@@ -411,8 +416,7 @@ class TestBatchInvariance:
         assert bins[k].r1 > 0
         inits = inits[:k] + [broken(inits[k])]
         out = run_semcm_batch(bins, inits, BATCH_CONFIG,
-                              [bin_rng(BATCH_SEED, b)
-                               for b in range(len(bins))])
+                              [_batch_rng(b) for b in range(len(bins))])
         assert isinstance(out[k], error)
         for b in range(k):
             assert out[b].final == alone[b].final
@@ -428,8 +432,7 @@ class TestBatchInvariance:
         start = MixtureParams(0.5, GammaParams(2.0, 0.5e308),
                               GammaParams(2.0, 0.5e308))
         out = run_semcm_batch([*bins, huge], [*inits, start], BATCH_CONFIG,
-                              [bin_rng(BATCH_SEED, b)
-                               for b in range(len(bins) + 1)])
+                              [_batch_rng(b) for b in range(len(bins) + 1)])
         assert isinstance(out[-1], NumericalFailureError)
         assert "M-step gave a shape or scale" in str(out[-1])
         for b in range(len(bins)):
@@ -441,10 +444,36 @@ class TestBatchInvariance:
         tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4,
                            c_db=bins[0].c_db)
         out = run_semcm_batch([tiny, bins[0]], [inits[0], inits[0]],
-                              BATCH_CONFIG, [bin_rng(BATCH_SEED, 9),
-                                             bin_rng(BATCH_SEED, 0)])
+                              BATCH_CONFIG, [_batch_rng(9), _batch_rng(0)])
         assert isinstance(out[0], InsufficientDataError)
         assert np.array_equal(out[1].iterates, alone[0].iterates)
+
+
+class TestFitBins:
+    def test_chain_of_bin_b(self, lone_runs):
+        # bin b: init_heuristic start, generator default_rng([seed, b])
+        bins, _, alone = lone_runs
+        for trace, ref in zip(fit_bins(bins, BATCH_CONFIG, BATCH_SEED),
+                              alone):
+            assert np.array_equal(trace.iterates, ref.iterates)
+
+    @pytest.mark.parametrize("samples, reason", [
+        ([2.0] * 4, "zero sample variance"),
+        # the mean of these powers overflows, and so the start's scale
+        ([0.9e308, 1.0e308, 1.1e308, 1.2e308], "scale must be finite"),
+    ], ids=["equal-samples", "mean-overflow"])
+    def test_failed_start(self, lone_runs, samples, reason):
+        bins, inits, _ = lone_runs
+        tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=bins[0].c_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fit_bins([_uncensored_bin(samples), bins[0], tiny],
+                           BATCH_CONFIG, BATCH_SEED)
+        assert isinstance(out[0], NumericalFailureError)
+        assert reason in str(out[0])
+        assert isinstance(out[2], InsufficientDataError)
+        ref = run_semcm(bins[0], inits[0], BATCH_CONFIG, _batch_rng(1))
+        assert np.array_equal(out[1].iterates, ref.iterates)
 
 
 class TestInitHeuristic:
