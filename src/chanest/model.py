@@ -147,6 +147,8 @@ def write_estimates(fh, rows):
 def _estimate_field(rec, name, line):
     text = rec[name]
     if not text:  # empty, or missing from a short row
+        if name == "ld":  # every row write_estimates writes has one
+            raise ValueError(f"estimates CSV line {line}: ld is empty")
         return math.nan
     try:
         value = float(text)
@@ -160,9 +162,9 @@ def _estimate_field(rec, name, line):
 
 def read_estimates(path):
     """Read an estimates CSV back into (list of dict rows, statuses). An
-    empty field reads as NaN; any other value that is not a finite number,
-    or a field longer than the ``csv`` module's limit, raises ValueError
-    naming its line."""
+    empty field other than ``ld`` reads as NaN; an empty ``ld``, any other
+    value that is not a finite number, or a field longer than the ``csv``
+    module's limit, raises ValueError naming its line."""
     rows, statuses = [], []
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)

@@ -8,10 +8,11 @@ point estimate is the average over a trailing burn window.
 
 The chains of many bins advance in lockstep: each step works on a
 ``BinBatch`` with one ``MixtureBatch`` of parameters, and one
-``solve_shape`` call gives the shapes of every bin. Bin b draws only from
-its own generator and no lane's arithmetic reads another bin, so a bin's
-chain is the same whichever bins share its batch; a single-bin run is a
-batch of one.
+``solve_shape`` call gives the shapes of every bin. Bin b keeps lane b for
+the whole run, a failed bin with NaN parameters. It draws only from its
+own generator and no lane's arithmetic reads another bin, so a bin's chain
+is the same whichever bins share its batch; a single-bin run is a batch of
+one.
 """
 from __future__ import annotations
 
@@ -84,13 +85,6 @@ class BinBatch:
 
     def __len__(self) -> int:
         return self.n_obs.size
-
-    def take(self, keep) -> "BinBatch":
-        """The bins where the mask ``keep`` holds."""
-        obs, n_obs = np.repeat(keep, self.n_obs), self.n_obs[keep]
-        return BinBatch(ld=self.ld[keep], x=self.x[obs], lnx=self.lnx[obs],
-                        owner=np.repeat(np.arange(n_obs.size), n_obs),
-                        n_obs=n_obs, r1=self.r1[keep], c_lin=self.c_lin[keep])
 
 
 @dataclass(frozen=True)
@@ -248,11 +242,12 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
         omega = per_component(bins.x, completed.y_cens) / counts / phi_prev.m
         log_mean = per_component(bins.lnx, np.log(completed.y_cens)) / counts \
             - np.log(omega)
+        # NaN for a bin without samples, which has failed already
+        alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,
+                         1.0 - ALPHA_FLOOR)
     solvable = np.isfinite(log_mean)
     m = np.full(log_mean.shape, np.nan)
     m[solvable] = solve_shape(log_mean[solvable], config.digamma_mode)
-    alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,
-                     1.0 - ALPHA_FLOOR)
     return MixtureBatch(np.column_stack(
         [alpha1, m[:, 0], omega[:, 0], m[:, 1], omega[:, 1]]))
 
@@ -275,51 +270,45 @@ def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
     return MixtureBatch(np.where(swap[:, None], swapped, phi.rows))
 
 
+def _too_few_samples(bin_: CensoredBin):
+    """The error of a bin with fewer than 2 observed samples, else None."""
+    if bin_.observed.size < 2:
+        return InsufficientDataError(
+            f"bin ld={bin_.ld}: need >= 2 observed samples, "
+            f"got {bin_.observed.size}")
+
+
 def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     """Run the E/S/M chains of many bins in lockstep, bin b from ``inits[b]``
     with generator ``rngs[b]``.
 
-    Returns one entry per bin: its ``SemTrace``, or the error that ended its
-    chain (``InsufficientDataError``, ``DegenerateFitError`` when a
-    component stayed empty, otherwise ``NumericalFailureError``). Each
-    iteration runs the S- and M-step on every bin still in the batch; a bin
-    that either step failed then leaves it, with the S-step's error when
-    both did, and the other bins run on unchanged.
+    Returns one entry per bin: its ``SemTrace``, or the first error that
+    ended its chain (``InsufficientDataError``, ``DegenerateFitError`` when
+    a component stayed empty, otherwise ``NumericalFailureError``; the
+    S-step's when both steps fail in one iteration). Bin b keeps lane b of
+    the batch throughout: a bin that fails, before iteration 1 or in a step,
+    gets a NaN parameter row, which the S-step fails before any draw and the
+    M-step leaves unsolved, and the other bins run on unchanged.
     """
-    out = [None] * len(bins)
-    live = []
-    for b, bin_ in enumerate(bins):
-        if bin_.observed.size < 2:
-            out[b] = InsufficientDataError(
-                f"bin ld={bin_.ld}: need >= 2 observed samples, "
-                f"got {bin_.observed.size}")
-        else:
-            live.append(b)
-    batch = BinBatch.of([bins[b] for b in live])
-    phi = MixtureBatch.of([inits[b] for b in live])
-    rngs = [rngs[b] for b in live]
+    out = [_too_few_samples(bin_) for bin_ in bins]
+    batch, phi = BinBatch.of(bins), MixtureBatch.of(inits)
+    phi.rows[[b for b, exc in enumerate(out) if exc]] = np.nan
     history = np.empty((len(bins), config.iterations, 5))
     for it in range(config.iterations):
         completed, failed = s_step(batch, phi, rngs)
         nxt = m_step(batch, completed, phi, config)
         valid = (nxt.rows[:, 1:] > 0) & (nxt.rows[:, 1:] < np.inf)
-        for i in np.flatnonzero(~valid.all(axis=1)).tolist():
-            failed.setdefault(i, NumericalFailureError(
-                f"bin ld={batch.ld[i]}: M-step gave a shape or scale that "
+        for b in np.flatnonzero(~valid.all(axis=1)).tolist():
+            failed.setdefault(b, NumericalFailureError(
+                f"bin ld={batch.ld[b]}: M-step gave a shape or scale that "
                 "is not finite and > 0"))
-        if failed:
-            keep = np.ones(len(live), bool)
-            for i, exc in failed.items():
-                out[live[i]] = exc
-                keep[i] = False
-            batch, phi = batch.take(keep), MixtureBatch(phi.rows[keep])
-            nxt = MixtureBatch(nxt.rows[keep])
-            live = [b for b, k in zip(live, keep) if k]
-            rngs = [r for r, k in zip(rngs, keep) if k]
+        for b, exc in failed.items():
+            out[b] = out[b] or exc
+        nxt.rows[list(failed)] = np.nan
         phi = _ordered(nxt, phi)
-        history[live, it] = phi.rows
+        history[:, it] = phi.rows
 
-    for b in live:
+    for b in [b for b, exc in enumerate(out) if exc is None]:
         # reduce each parameter's window as one contiguous 1-D run: that is
         # np.mean's pairwise sum; a row-by-row (axis=0) sum rounds otherwise
         tail = np.ascontiguousarray(history[b, -config.burn_window:].T)
@@ -344,8 +333,9 @@ def init_heuristic(bin_: CensoredBin,
     """Starting point: moment-based (or supplied) signal shape, Rayleigh-like
     interference (m = 1), both means anchored at the observed sample mean
     with the interference offset +3 dB to break symmetry."""
-    if bin_.observed.size < 2:
-        raise InsufficientDataError("need >= 2 observed samples")
+    exc = _too_few_samples(bin_)
+    if exc:
+        raise exc
     with np.errstate(over="ignore"):  # an infinite mean fails GammaParams
         mean = float(bin_.observed.mean())
     m1 = float(m1_guess) if m1_guess is not None else baselines.mb_shape(

@@ -486,17 +486,23 @@ class TestFit:
         assert rc == 3
         assert capsys.readouterr().err.startswith("chanest fit:")
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_nonfinite_estimate_is_data_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("ld, value, field", [
+        ("24.0", "inf", "mean1_db"), ("24.0", "-inf", "mean1_db"),
+        ("24.0", "nan", "mean1_db"),
+        # every row the package writes has an ld: an empty one is no NaN
+        ("", "-88", "ld"),
+    ], ids=["inf", "-inf", "nan", "empty-ld"])
+    def test_nonfinite_estimate_is_data_error(self, tmp_path, capsys, ld,
+                                              value, field):
         est = tmp_path / "est.csv"
         est.write_text("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
                        "loss_fraction,status\n"
                        "23.0,0.5,7,1,35,1,-85,-97,0.0,ok\n"
-                       f"24.0,0.5,7,1,35,1,{value},-97,0.0,ok\n"
+                       f"{ld},0.5,7,1,35,1,{value},-97,0.0,ok\n"
                        "25.0,0.5,7,1,35,1,-91,-97,0.0,ok\n")
         rc = main(["fit", "--input", str(est)])
         assert rc == 2
-        assert "line 3: mean1_db" in capsys.readouterr().err
+        assert f"line 3: {field}" in capsys.readouterr().err
 
     def test_oversized_field_is_data_error(self, tmp_path, capsys):
         est = tmp_path / "est.csv"

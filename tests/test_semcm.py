@@ -386,6 +386,23 @@ def lone_runs():
     return bins, inits, alone
 
 
+def _no_second_component(p):
+    # alpha1 = 1: component 2 never gets a sample
+    return MixtureParams(1.0, p.comp1, p.comp2)
+
+
+def _no_censored_mass(p):
+    # two narrow components far above the threshold: no censored mass
+    return MixtureParams(0.5, GammaParams(500.0, p.comp1.mean * 2),
+                         GammaParams(500.0, p.comp2.mean * 2))
+
+
+def _no_truncatable_mass(p):
+    # positive masses below the threshold, but too small to impute from
+    return MixtureParams(0.5, GammaParams(1.0, p.comp1.mean * 1e305),
+                         GammaParams(1.0, p.comp1.mean * 1e305))
+
+
 class TestBatchInvariance:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -400,27 +417,62 @@ class TestBatchInvariance:
             assert trace.final == alone[b].final
             assert np.array_equal(trace.iterates, alone[b].iterates)
 
-    @pytest.mark.parametrize("broken, error", [
-        # alpha1 = 1: component 2 never gets a sample
-        pytest.param(lambda p: MixtureParams(1.0, p.comp1, p.comp2),
-                     DegenerateFitError, id="<lambda>-DegenerateFitError"),
-        # two narrow components far above the threshold: no censored mass
-        pytest.param(
-            lambda p: MixtureParams(0.5, GammaParams(500.0, p.comp1.mean * 2),
-                                    GammaParams(500.0, p.comp2.mean * 2)),
-            NumericalFailureError, id="<lambda>-DegenerateCensorMassError"),
+    @pytest.mark.parametrize("broken, error, reason, middle", [
+        pytest.param(_no_second_component, DegenerateFitError,
+                     "a component stayed empty", False,
+                     id="<lambda>-DegenerateFitError"),
+        pytest.param(_no_censored_mass, NumericalFailureError,
+                     "no component carries mass", False,
+                     id="<lambda>-DegenerateCensorMassError"),
+        pytest.param(_no_second_component, DegenerateFitError,
+                     "a component stayed empty", True,
+                     id="middle-after-too-few-DegenerateFitError"),
+        pytest.param(_no_censored_mass, NumericalFailureError,
+                     "no component carries mass", True,
+                     id="middle-after-too-few-DegenerateCensorMassError"),
+        pytest.param(_no_truncatable_mass, NumericalFailureError,
+                     "component 1 has mass", True,
+                     id="middle-after-too-few-TruncatedMassError"),
     ])
-    def test_failed_bin_leaves_others_alone(self, lone_runs, broken, error):
+    def test_failed_bin_leaves_others_alone(self, lone_runs, broken, error,
+                                            reason, middle):
         bins, inits, alone = lone_runs
         k = len(bins) - 1  # the deepest bin has censored samples
         assert bins[k].r1 > 0
-        inits = inits[:k] + [broken(inits[k])]
-        out = run_semcm_batch(bins, inits, BATCH_CONFIG,
-                              [_batch_rng(b) for b in range(len(bins))])
-        assert isinstance(out[k], error)
-        for b in range(k):
-            assert out[b].final == alone[b].final
-            assert np.array_equal(out[b].iterates, alone[b].iterates)
+        few = {"tiny": CensoredBin(ld=40.0, observed=[1e-9], r1=4,
+                                   c_db=bins[0].c_db),
+               "empty": CensoredBin(ld=41.0, observed=[], r1=0,
+                                    c_db=bins[0].c_db)}
+        # the lone-run index of the bin in each lane, k for the broken one
+        lanes = [*range(k), k]
+        if middle:  # bins filtered before iteration 1 come ahead of k
+            lanes = [*range(k // 2), "tiny", "empty", k, *range(k // 2, k)]
+        rngs = [_batch_rng(99) if b in few else _batch_rng(b) for b in lanes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_semcm_batch(
+                [few[b] if b in few else bins[b] for b in lanes],
+                [inits[0] if b in few else broken(inits[b]) if b == k
+                 else inits[b] for b in lanes],
+                BATCH_CONFIG, rngs)
+        # each broken start fails in iteration 1 and draws no more after
+        # it; a bin filtered before iteration 1 never draws
+        stopped = _batch_rng(k)
+        with pytest.raises(error):
+            run_semcm(bins[k], broken(inits[k]), SemConfig(1, 1), stopped)
+        for b, res, rng in zip(lanes, out, rngs):
+            if b == k:  # its first error, not a later one of its NaN lane
+                assert isinstance(res, error)
+                assert f"bin ld={bins[k].ld}: {reason}" in str(res)
+                assert rng.bit_generator.state == stopped.bit_generator.state
+            elif b in few:
+                assert isinstance(res, InsufficientDataError)
+                assert f"bin ld={few[b].ld}: need >= 2" in str(res)
+                assert rng.bit_generator.state \
+                    == _batch_rng(99).bit_generator.state
+            else:
+                assert res.final == alone[b].final
+                assert np.array_equal(res.iterates, alone[b].iterates)
 
     def test_m_step_failure_leaves_others_alone(self, lone_runs):
         # any two of these powers sum beyond float max, so whichever
@@ -472,6 +524,7 @@ class TestFitBins:
         assert isinstance(out[0], NumericalFailureError)
         assert reason in str(out[0])
         assert isinstance(out[2], InsufficientDataError)
+        assert "bin ld=40.0" in str(out[2])
         ref = run_semcm(bins[0], inits[0], BATCH_CONFIG, _batch_rng(1))
         assert np.array_equal(out[1].iterates, ref.iterates)
 
