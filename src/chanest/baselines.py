@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, RankDeficientFitError
 from .model import PathLossLine
 
 
@@ -32,7 +31,7 @@ def ml_minus_shape(samples) -> float:
         mean = float(x.mean())
     delta = math.log(mean) - float(np.log(x).mean())
     if delta <= 0.0:
-        raise DegenerateSamplesError("zero log-dispersion: shape is infinite")
+        raise ValueError("zero log-dispersion: shape is infinite")
     return (6.0 + math.sqrt(36.0 + 48.0 * delta)) / (24.0 * delta)
 
 
@@ -47,7 +46,7 @@ def mb_shape(samples) -> float:
     mu2 = float((x * x).mean())
     var = mu2 - mu * mu
     if var <= 0.0:
-        raise DegenerateSamplesError("zero sample variance: shape is infinite")
+        raise ValueError("zero sample variance: shape is infinite")
     return mu * mu / var
 
 
@@ -56,7 +55,7 @@ def lse_line_fit(ld, values) -> PathLossLine:
     convention. Needs at least 2 distinct ld values."""
     ld = np.asarray(ld, dtype=float)
     if np.unique(ld).size < 2:
-        raise RankDeficientFitError("need >= 2 distinct ld values")
+        raise ValueError("need >= 2 distinct ld values")
     design = np.column_stack([np.ones_like(ld), -ld])
     coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float),
                                rcond=None)

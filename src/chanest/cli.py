@@ -12,9 +12,7 @@ import sys
 import numpy as np
 
 from . import baselines, ingest, model, semcm, simulator
-from .errors import (ChanestError, DegenerateFitError, DegenerateSamplesError,
-                     InsufficientDataError, NumericalFailureError,
-                     RankDeficientFitError)
+from .errors import ChanestError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,12 +158,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _failure_status(exc) -> str:
-    return {InsufficientDataError: "insufficient-data",
-            DegenerateFitError: "degenerate-fit",
-            NumericalFailureError: "numerical-failure"}[type(exc)]
-
-
 def _estimation_command(args, paths, write) -> int:
     """Fit the binned log; hand ``write`` a ``(bin, trace | None, status)``
     row per bin, then an open file, or None, per entry of ``paths``."""
@@ -189,7 +181,7 @@ def _estimation_command(args, paths, write) -> int:
             config = semcm.SemConfig(args.iters, args.burn, args.digamma)
             results = semcm.fit_bins(bins, config, args.seed, args.init_m1)
             write([(bin_, res, "ok") if isinstance(res, semcm.SemTrace)
-                   else (bin_, None, _failure_status(res))
+                   else (bin_, None, res.status)
                    for bin_, res in zip(bins, results)], *outs)
     except (OSError, ChanestError) as exc:
         return _data_error(args.command, exc)
@@ -217,7 +209,7 @@ def _write_comparison(results, out):
         try:
             ml = repr(baselines.ml_minus_shape(bin_.observed))
             mb = repr(baselines.mb_shape(bin_.observed))
-        except (DegenerateSamplesError, ValueError):
+        except ValueError:
             ml = mb = ""
         sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
         w.writerow([repr(bin_.ld), sem_m1, ml, mb, repr(bin_.loss_fraction),
@@ -248,8 +240,8 @@ def cmd_fit(args) -> int:
         values.append(row[key])
     try:
         line = baselines.lse_line_fit(lds, values)
-    # ValueError: finite estimates whose line overflows, from PathLossLine
-    except (RankDeficientFitError, ValueError) as exc:
+    # fewer than 2 distinct ld, or finite estimates whose line overflows
+    except ValueError as exc:
         print(f"chanest fit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     out = f"A,B\n{line.A!r},{line.B!r}\n"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: one class per outcome a caller acts on."""
 
 
 class ChanestError(Exception):
@@ -15,22 +15,17 @@ class ParseError(ChanestError):
 
 class InsufficientDataError(ChanestError):
     """Too few observed samples to estimate anything."""
+    status = "insufficient-data"
 
 
 class DegenerateFitError(ChanestError):
     """A component got no samples, so the SEM chain cannot go on."""
+    status = "degenerate-fit"
 
 
 class NumericalFailureError(ChanestError):
     """A bin's chain left double precision: both component densities or
     both censored masses underflowed, a component's truncated mass is below
-    the floor, or the M-step gave a shape or scale that is not finite and
-    > 0. The message names which."""
-
-
-class DegenerateSamplesError(ChanestError):
-    """Sample set has zero dispersion; shape estimate is infinite."""
-
-
-class RankDeficientFitError(ChanestError):
-    """Line fit input has no spread in the abscissa."""
+    the floor, or the M-step or the burn-window mean gave a shape or scale
+    that is not finite and > 0. The message names which."""
+    status = "numerical-failure"

@@ -128,8 +128,11 @@ def _row_loop(lines, read: int, header_ok: bool):
     seq, dist, rssi, where = array("q"), array("d"), array("d"), array("q")
     bad = []
     reader = csv.reader(lines)
+    end = read  # lines up to the end of the last record
     try:
-        for lineno, row in enumerate(reader, start=read + 1):
+        for row in reader:
+            # named by the line it starts on: a quoted field may span lines
+            lineno, end = end + 1, read + reader.line_num
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not header_ok:

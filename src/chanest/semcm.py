@@ -22,8 +22,8 @@ import numpy as np
 from scipy import special
 
 from . import baselines
-from .errors import (DegenerateFitError, DegenerateSamplesError,
-                     InsufficientDataError, NumericalFailureError)
+from .errors import (DegenerateFitError, InsufficientDataError,
+                     NumericalFailureError)
 from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR,
                          draw_truncated_gamma, solve_shape)
 # not called here: bench/child.py traces the sampler under this module's name
@@ -82,9 +82,6 @@ class BinBatch:
                    lnx=np.log(x), owner=np.repeat(np.arange(len(bins)), n_obs),
                    n_obs=n_obs, r1=np.array([b.r1 for b in bins], np.intp),
                    c_lin=c_lin)
-
-    def __len__(self) -> int:
-        return self.n_obs.size
 
 
 @dataclass(frozen=True)
@@ -225,10 +222,7 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     undefined gets a NaN shape, and one without samples a NaN scale too; a
     component's update reads no other component.
     """
-    n = len(bins)
-    if completed.z_obs.shape != bins.x.shape \
-            or completed.z_cens.shape != (int(bins.r1.sum()),):
-        raise ValueError("completed assignment inconsistent with bin counts")
+    n = bins.n_obs.size
     # sums per (bin, component) over key 2 * bin + (0 for component 1)
     key_obs = 2 * bins.owner + ~completed.z_obs
     key_cens = 2 * np.repeat(np.arange(n), bins.r1) + ~completed.z_cens
@@ -238,7 +232,7 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
                 + np.bincount(key_cens, w_cens, 2 * n)).reshape(n, 2)
 
     counts = per_component(None, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         omega = per_component(bins.x, completed.y_cens) / counts / phi_prev.m
         log_mean = per_component(bins.lnx, np.log(completed.y_cens)) / counts \
             - np.log(omega)
@@ -256,18 +250,25 @@ def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
     # keep labels consistent across iterations: per bin, pick the
     # orientation whose components moved least (in log mean / log shape)
     # from the previous iterate, so traces and burn averages track one
-    # physical component
-    mean, shape = np.log(phi.m * phi.omega), np.log(phi.m)
-    mean0, shape0 = np.log(prev.m * prev.omega), np.log(prev.m)
-
+    # physical component. A mean beyond float range gives an inf or NaN
+    # distance, which never swaps.
     def dist(i, j):  # new component i against previous component j
         return np.abs(mean[:, i] - mean0[:, j]) \
             + np.abs(shape[:, i] - shape0[:, j])
 
-    swap = dist(0, 1) + dist(1, 0) < dist(0, 0) + dist(1, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mean, shape = np.log(phi.m * phi.omega), np.log(phi.m)
+        mean0, shape0 = np.log(prev.m * prev.omega), np.log(prev.m)
+        swap = dist(0, 1) + dist(1, 0) < dist(0, 0) + dist(1, 1)
     swapped = phi.rows[:, [0, 3, 4, 1, 2]]  # the components exchanged
     swapped[:, 0] = 1.0 - swapped[:, 0]
     return MixtureBatch(np.where(swap[:, None], swapped, phi.rows))
+
+
+def _invalid_lanes(rows: np.ndarray) -> list:
+    """Lanes of parameter rows with a shape or scale not finite and > 0."""
+    valid = (rows[:, 1:] > 0) & (rows[:, 1:] < np.inf)
+    return np.flatnonzero(~valid.all(axis=1)).tolist()
 
 
 def _too_few_samples(bin_: CensoredBin):
@@ -297,8 +298,7 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     for it in range(config.iterations):
         completed, failed = s_step(batch, phi, rngs)
         nxt = m_step(batch, completed, phi, config)
-        valid = (nxt.rows[:, 1:] > 0) & (nxt.rows[:, 1:] < np.inf)
-        for b in np.flatnonzero(~valid.all(axis=1)).tolist():
+        for b in _invalid_lanes(nxt.rows):
             failed.setdefault(b, NumericalFailureError(
                 f"bin ld={batch.ld[b]}: M-step gave a shape or scale that "
                 "is not finite and > 0"))
@@ -308,12 +308,19 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
         phi = _ordered(nxt, phi)
         history[:, it] = phi.rows
 
+    # reduce each parameter's window as one contiguous 1-D run, np.mean's
+    # pairwise sum (summing across rows rounds otherwise); finite values
+    # may still sum beyond float max
+    tail = np.ascontiguousarray(
+        history[:, -config.burn_window:].transpose(0, 2, 1))
+    with np.errstate(over="ignore"):
+        final = tail.mean(axis=2)
+    for b in _invalid_lanes(final):
+        out[b] = out[b] or NumericalFailureError(
+            f"bin ld={batch.ld[b]}: burn-window mean has a shape or scale "
+            "that is not finite and > 0")
     for b in [b for b, exc in enumerate(out) if exc is None]:
-        # reduce each parameter's window as one contiguous 1-D run: that is
-        # np.mean's pairwise sum; a row-by-row (axis=0) sum rounds otherwise
-        tail = np.ascontiguousarray(history[b, -config.burn_window:].T)
-        out[b] = SemTrace(history[b],
-                          MixtureParams.from_row(tail.mean(axis=1)))
+        out[b] = SemTrace(history[b], MixtureParams.from_row(final[b]))
     return out
 
 
@@ -358,7 +365,7 @@ def fit_bins(bins, config: SemConfig, seed: int,
             inits[b] = init_heuristic(bin_, init_m1)
         except InsufficientDataError as exc:
             out[b] = exc
-        except (DegenerateSamplesError, ValueError) as exc:
+        except ValueError as exc:
             out[b] = NumericalFailureError(f"bin ld={bin_.ld}: {exc}")
     traces = run_semcm_batch(
         [bins[b] for b in inits], list(inits.values()), config,

@@ -71,8 +71,9 @@ class Scenario:
                 or (round(steps) + 1) * self.n_per_bin > MAX_PACKETS:
             raise ValueError(f"scenario has more than MAX_PACKETS = "
                              f"{MAX_PACKETS} packets (grid bins x n_per_bin)")
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ValueError("shapes must be > 0")
+        for name in ("m1", "m2"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"scenario field {name!r} must be > 0")
         if not (0.0 <= self.mixing_alpha1 <= 1.0):
             raise ValueError("mixing_alpha1 must be in [0, 1]")
         # linear in dB over the grid, so its two ends bound each of these

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
-from chanest.errors import DegenerateSamplesError, RankDeficientFitError
 from chanest.simulator import Scenario, generate_scenario
 
 
@@ -36,7 +35,7 @@ class TestMlMinusShape:
                                                          rel=1e-10)
 
     def test_degenerate_constant_samples(self):
-        with pytest.raises(DegenerateSamplesError):
+        with pytest.raises(ValueError, match="zero log-dispersion"):
             ml_minus_shape([2.0, 2.0, 2.0])
 
     def test_rejects_bad_input(self):
@@ -67,7 +66,7 @@ class TestMbShape:
         assert mb_shape(x * 1e6) == pytest.approx(mb_shape(x), rel=1e-10)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSamplesError):
+        with pytest.raises(ValueError, match="zero sample variance"):
             mb_shape([1.0, 1.0])
 
     @settings(max_examples=100, deadline=None)
@@ -110,9 +109,9 @@ class TestLseLineFit:
         assert np.median(b_hat) == pytest.approx(3.0, abs=0.1)
 
     def test_rank_deficiency(self):
-        with pytest.raises(RankDeficientFitError):
+        with pytest.raises(ValueError, match="need >= 2 distinct ld"):
             lse_line_fit([1.0, 1.0], [2.0, 3.0])
-        with pytest.raises(RankDeficientFitError):
+        with pytest.raises(ValueError, match="need >= 2 distinct ld"):
             lse_line_fit([], [])
 
 

@@ -12,8 +12,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chanest import cli, ingest, semcm, simulator
@@ -271,6 +272,33 @@ class TestFailedBins:
                                                        rel=1e-12)
         assert cmp_[0]["mb_m"] == "14.591665655574305"
 
+    @pytest.mark.parametrize("rssi, c_db", [
+        # the scales of the burn window sum beyond float max
+        ([3067.195, 3065.544, 3065.249, 3041.816, 3067.653, 3072.38,
+          3065.119, 3061.387, 3061.966, 3079.571], "-100"),
+        # an M-step scale update overflows
+        ([3066.325, 3079.012, 3063.576, 3063.085, 3024.029, 3067.051,
+          3072.876, 3064.573, 3062.868, 3056.648], "-100"),
+        # the log means that order the components overflow, then as the
+        # first
+        ([3061.250129716952, 3081.4729167374776, 3074.2740867684456],
+         "3000"),
+    ], ids=["burn-window", "m-step", "order"])
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_near_ceiling_bin(self, tmp_path, capsys, command, rssi, c_db):
+        packets, out = tmp_path / "p.csv", tmp_path / "o.csv"
+        packets.write_text("seq,distance_m,rssi_dbm\n" + "".join(
+            f"{s},100.0,{r!r}\n" for s, r in enumerate(rssi, 1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--input", str(packets), "--c-db", c_db,
+                       "--seed", "1", "--out", str(out)])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().err == ""
+        with out.open(newline="") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == \
+                ["numerical-failure"]
+
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     def test_huge_start_shape(self, tmp_path, scenario_config, command):
         # the start's shape 1e308 times ln(omega) overflows in the E-step
@@ -329,18 +357,31 @@ SMALL_LOG = _small_log_lines()
 HUGE_RSSI = st.floats(ingest.MAX_RSSI_DBM, 1e308, exclude_min=True) \
     | st.floats(-1e308, -ingest.MAX_RSSI_DBM, exclude_max=True)
 LINE = st.integers(0, len(SMALL_LOG) - 1)
+# the distance field of each bin of SMALL_LOG
+BIN_DISTANCES = sorted({line.split(b",")[1] for line in SMALL_LOG[1:] if line})
 MUTATION = st.one_of(
     # a byte, or a count of digits over the csv module's field limit (a
     # count keeps the repr of a failing example short)
     st.tuples(st.just("insert"), LINE, st.integers(0, 40), st.sampled_from(
         [b"\xff", b"\x00", b'"', csv.field_size_limit() + 1])),
     st.tuples(st.just("rssi"), LINE, HUGE_RSSI),
+    # every received RSSI of one bin drawn from [3000, MAX_RSSI_DBM] by a
+    # generator of this seed
+    st.tuples(st.just("ceiling"), st.sampled_from(BIN_DISTANCES),
+              st.integers(0, 2 ** 32 - 1)),
     st.tuples(st.just("drop"), LINE),
     st.tuples(st.just("duplicate"), LINE))
 
 
 def _mutate(lines, mutation):
     kind, at, *arg = mutation
+    if kind == "ceiling":
+        rng = np.random.default_rng(arg[0])
+        for i, fields in enumerate(line.split(b",") for line in lines):
+            if len(fields) == 3 and fields[1] == at and fields[2]:
+                rssi = rng.uniform(3000.0, ingest.MAX_RSSI_DBM)
+                lines[i] = b",".join([*fields[:2], repr(rssi).encode()])
+        return
     at = min(at, len(lines) - 1)  # earlier drops shorten the log
     line = lines[at]
     if kind == "insert":
@@ -359,6 +400,9 @@ class TestAnyMalformedLog:
 
     @settings(max_examples=60, deadline=None)
     @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    # a near-ceiling bin with one inferred loss whose M-step scale update
+    # overflows
+    @example(mutations=[("ceiling", BIN_DISTANCES[2], 1297), ("drop", 62)])
     def test_exit_code(self, mutations):
         lines = list(SMALL_LOG)
         for mutation in mutations:

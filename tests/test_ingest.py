@@ -64,6 +64,15 @@ class TestParsePacketLog:
             _parse(text)
         assert err.value.lines == [3, 4]
 
+    def test_lines_after_quoted_line_break(self):
+        # a record is named by the line it starts on, and a quoted field
+        # carries record 1 over lines 2 and 3
+        text = ('seq,distance_m,rssi_dbm\r\n1,"10\r\n0",-90\r\n2,abc,-90\r\n'
+                "3,10,-90\r\n")
+        with pytest.raises(ParseError) as err:
+            _parse(text)
+        assert err.value.lines == [2, 4]
+
     @pytest.mark.parametrize("row", [
         "x,100,-90", "2,-5,-90", "2,inf,-90", "2,nan,-90", "2,100,inf",
         "2,100,-inf", "2,100,nan", "2,100,-90,0", "2,100", "2.5,100,-90",

@@ -12,7 +12,7 @@ from chanest.errors import (DegenerateFitError, InsufficientDataError,
 from chanest.gamma_core import (REJECTION_MASS, digamma,
                                 sample_truncated_gamma)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
-                           MixtureParams, linear_to_db)
+                           MixtureParams, db_to_linear, linear_to_db)
 from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
                            fit_bins, init_heuristic, m_step, run_semcm,
@@ -474,19 +474,30 @@ class TestBatchInvariance:
                 assert res.final == alone[b].final
                 assert np.array_equal(res.iterates, alone[b].iterates)
 
-    def test_m_step_failure_leaves_others_alone(self, lone_runs):
+    @pytest.mark.parametrize("observed, start, reason", [
         # any two of these powers sum beyond float max, so whichever
         # component gets two of them has an infinite scale update
+        ([0.9e308, 1.0e308, 1.1e308, 1.2e308],
+         MixtureParams(0.5, GammaParams(2.0, 0.5e308),
+                       GammaParams(2.0, 0.5e308)),
+         "M-step gave a shape or scale"),
+        # every update of this chain is finite, but the scales of its burn
+        # window sum beyond float max
+        (db_to_linear(np.array([3058.6, 3071.2, 3080.1])), None,
+         "burn-window mean has a shape or scale"),
+    ], ids=["m-step", "burn-window"])
+    def test_numerical_failure_leaves_others_alone(self, lone_runs, observed,
+                                                   start, reason):
         bins, inits, alone = lone_runs
-        huge = CensoredBin(ld=40.0, observed=[0.9e308, 1.0e308, 1.1e308,
-                                              1.2e308],
-                           r1=0, c_db=bins[0].c_db)
-        start = MixtureParams(0.5, GammaParams(2.0, 0.5e308),
-                              GammaParams(2.0, 0.5e308))
-        out = run_semcm_batch([*bins, huge], [*inits, start], BATCH_CONFIG,
+        last = CensoredBin(ld=40.0, observed=observed, r1=0,
+                           c_db=bins[0].c_db)
+        out = run_semcm_batch([*bins, last],
+                              [*inits, start or init_heuristic(last)],
+                              BATCH_CONFIG,
                               [_batch_rng(b) for b in range(len(bins) + 1)])
         assert isinstance(out[-1], NumericalFailureError)
-        assert "M-step gave a shape or scale" in str(out[-1])
+        assert str(out[-1]) == \
+            f"bin ld=40.0: {reason} that is not finite and > 0"
         for b in range(len(bins)):
             assert out[b].final == alone[b].final
             assert np.array_equal(out[b].iterates, alone[b].iterates)

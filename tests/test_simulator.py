@@ -31,9 +31,11 @@ class TestScenario:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_per_bin": 2.5}, {"seed": "3"}, {"m1": True}, {"seed": -1},
-        {"seed": np.float64(3.0)}, {"m1": 10 ** 400}], ids=[
+        {"seed": np.float64(3.0)}, {"m1": 10 ** 400}, {"n_per_bin": 0},
+        {"m2": 0.0}, {"mixing_alpha1": 1.5}], ids=[
         "float-int", "str-int", "bool-float", "negative-seed",
-        "numpy-float-int", "huge-int-float"])
+        "numpy-float-int", "huge-int-float", "zero-packets", "zero-shape",
+        "alpha-above-1"])
     def test_rejects_bad_values(self, kwargs):
         field, = kwargs
         with pytest.raises(ValueError, match=field):
