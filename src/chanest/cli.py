@@ -146,9 +146,12 @@ def cmd_simulate(args) -> int:
             sc = dataclasses.replace(sc, seed=args.seed)
         with open(args.out, "w", newline="") as fh:
             ingest.write_packet_log(fh, simulator.packet_rows(sc))
-        truth = simulator.ground_truth(sc)
-        table = np.column_stack([truth.lds, [p.row() for p in truth.params],
-                                 truth.mean1_db, truth.mean2_db])
+        grid = sc.ld_grid
+        table = np.column_stack([
+            grid, [simulator.true_params_at(ld, sc).row()
+                   for ld in grid.tolist()],
+            sc.pl_a - sc.pl_b * grid,
+            np.full(grid.size, sc.interference_mean_db)])
         with open(args.out + ".truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["ld", *model.PARAM_FIELDS, "mean1_db", "mean2_db"])

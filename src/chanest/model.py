@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,10 @@ class CensoredBin:
     """One distance bin: received linear powers plus the censored count.
 
     ``observed`` holds only received samples, all strictly above the linear
-    threshold; ``r1`` packets were lost.
+    threshold; ``r1`` packets were lost. A bin that is not so, or whose
+    ``observed`` is not a 1-D array of finite powers, ``r1`` not an integer
+    (never a bool), ``ld`` not finite or linear threshold not finite and
+    > 0, raises ValueError.
     """
 
     ld: float
@@ -97,9 +101,21 @@ class CensoredBin:
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=float)
         object.__setattr__(self, "observed", obs)
+        if obs.ndim != 1 or not np.all(np.isfinite(obs)):
+            raise ValueError("observed must be a 1-D array of finite powers")
+        if isinstance(self.r1, bool) or not isinstance(self.r1,
+                                                       numbers.Integral):
+            raise ValueError(f"r1 must be an integer, got {self.r1!r}")
         if self.r1 < 0:
             raise ValueError(f"r1 must be >= 0, got {self.r1}")
-        if obs.size and np.any(obs <= self.c_lin):
+        if not math.isfinite(self.ld):
+            raise ValueError(f"ld must be finite, got {self.ld!r}")
+        with np.errstate(over="ignore"):
+            c_lin = self.c_lin
+        if not 0.0 < c_lin < math.inf:
+            raise ValueError("c_db must give a linear threshold finite and "
+                             f"> 0, got c_db={self.c_db!r}")
+        if np.any(obs <= c_lin):
             raise ValueError("observed samples must be strictly above the "
                              "censoring threshold")
 

@@ -73,15 +73,12 @@ class BinBatch:
 
     @classmethod
     def of(cls, bins) -> "BinBatch":
-        c_lin = np.array([b.c_lin for b in bins], dtype=float)
-        if not np.all((c_lin > 0) & (c_lin < np.inf)):
-            raise ValueError("c_lin must be finite and > 0")
         x = np.concatenate([b.observed for b in bins] + [np.empty(0)])
         n_obs = np.array([b.observed.size for b in bins], np.intp)
         return cls(ld=np.array([b.ld for b in bins], dtype=float), x=x,
                    lnx=np.log(x), owner=np.repeat(np.arange(len(bins)), n_obs),
                    n_obs=n_obs, r1=np.array([b.r1 for b in bins], np.intp),
-                   c_lin=c_lin)
+                   c_lin=np.array([b.c_lin for b in bins], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ class Scenario:
             value = getattr(self, f.name)
             kind = numbers.Integral if f.type == "int" else numbers.Real
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"scenario field {f.name!r} must be a "
-                                 f"{f.type}, got {value!r}")
+                raise ValueError(f"scenario field {f.name!r} must be of "
+                                 f"type {f.type}, got {value!r}")
             try:
                 value = int(value) if f.type == "int" else float(value)
             except OverflowError:
@@ -117,17 +117,6 @@ class Scenario:
         return json.dumps(asdict(self), indent=2)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Per-bin true parameters of a scenario: its truth CSV and the
-    oracle of checks on simulated data."""
-
-    lds: np.ndarray
-    params: list  # MixtureParams per bin
-    mean1_db: np.ndarray
-    mean2_db: np.ndarray
-
-
 def true_params_at(ld: float, sc: Scenario) -> MixtureParams:
     """A bin's true mixture: signal mean m1*omega1 on the path-loss line."""
     return MixtureParams(
@@ -148,18 +137,8 @@ def _draw_bin(sc: Scenario, bin_index: int, ld: float):
     return mixed, keep
 
 
-def ground_truth(sc: Scenario) -> GroundTruth:
-    """The true parameters of every bin of a scenario; draws nothing."""
-    grid = sc.ld_grid
-    return GroundTruth(
-        lds=grid,
-        params=[true_params_at(ld, sc) for ld in grid.tolist()],
-        mean1_db=sc.pl_a - sc.pl_b * grid,
-        mean2_db=np.full(grid.size, sc.interference_mean_db))
-
-
 def generate_scenario(sc: Scenario) -> list[CensoredBin]:
-    """The censored bins of a scenario; ``ground_truth(sc)`` is their truth."""
+    """The censored bins of a scenario; ``true_params_at`` is their truth."""
     bins = []
     for b, ld in enumerate(sc.ld_grid.tolist()):
         mixed, keep = _draw_bin(sc, b, ld)

@@ -17,7 +17,7 @@ from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
                            e_step_censored, e_step_observed, init_heuristic,
                            run_semcm)
 from chanest.simulator import (Scenario, censoring_probability,
-                               generate_scenario, ground_truth)
+                               generate_scenario, true_params_at)
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -48,13 +48,13 @@ def default_runs():
     runs = []
     for seed in SEEDS:
         sc = Scenario(seed=seed)
-        bins, truth = generate_scenario(sc), ground_truth(sc)
+        bins = generate_scenario(sc)
         traces = []
         for b, bin_ in enumerate(bins):
             rng = np.random.default_rng([seed, b])
-            init = _perturbed_init(truth.params[b], rng)
+            init = _perturbed_init(true_params_at(bin_.ld, sc), rng)
             traces.append(run_semcm(bin_, init, SemConfig(), rng))
-        runs.append((sc, bins, truth, traces))
+        runs.append((sc, bins, traces))
     return runs, time.time() - t0
 
 
@@ -62,7 +62,7 @@ class TestCriterion1MeanLineRecovery:
     def test_fit_of_estimated_signal_mean(self, default_runs):
         runs, elapsed = default_runs
         a_hat, b_hat = [], []
-        for _, bins, _, traces in runs:
+        for _, bins, traces in runs:
             pts = [(bin_.ld, linear_to_db(tr.final.comp1.mean))
                    for bin_, tr in zip(bins, traces)
                    if not 26.0 <= bin_.ld <= 28.0]
@@ -83,7 +83,7 @@ class TestCriterion2BaselineFailure:
     def test_baselines_low_while_sem_recovers(self, default_runs):
         runs, _ = default_runs
         fracs = []
-        for _, bins, _, traces in runs:
+        for _, bins, traces in runs:
             good = total = 0
             for bin_, tr in zip(bins, traces):
                 if not (bin_.ld <= 25.0 or bin_.ld >= 29.0):
@@ -111,7 +111,7 @@ class TestCriterion3LossFractionFidelity:
         runs, _ = default_runs
         ok = True
         worst_emp = worst_true = 0.0
-        for sc, bins, _, _ in runs:
+        for sc, bins, _ in runs:
             for bin_ in bins:
                 p = censoring_probability(bin_.ld, sc)
                 pval = stats.binomtest(bin_.r1, sc.n_per_bin, p).pvalue
@@ -163,12 +163,12 @@ class TestCriterion5Convergence:
         worst = 0.0
         for seed in SEEDS:
             sc = Scenario(seed=seed)
-            bins, truth = generate_scenario(sc), ground_truth(sc)
-            for b, bin_ in enumerate(bins):
+            for b, bin_ in enumerate(generate_scenario(sc)):
                 if bin_.ld > 25.0:
                     continue
                 rng = np.random.default_rng([seed, b])
-                tr = run_semcm(bin_, truth.params[b], SemConfig(), rng)
+                tr = run_semcm(bin_, true_params_at(bin_.ld, sc), SemConfig(),
+                               rng)
                 for name in ("m1", "omega1", "alpha1"):
                     vals = tr.iterates[:, PARAM_FIELDS.index(name)].tolist()
                     v30 = running_mean(vals, 30)

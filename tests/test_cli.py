@@ -48,13 +48,34 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "seq,distance_m,rssi_dbm"
         assert len(lines) == 1 + 5 * 400
-        truth = (tmp_path / "packets.csv.truth.csv").read_text().splitlines()
-        assert len(truth) == 1 + 5
+        sc = Scenario.from_json(scenario_config.read_text())
+        with (tmp_path / "packets.csv.truth.csv").open(newline="") as fh:
+            truth = list(csv.DictReader(fh))
+        assert [float(row["ld"]) for row in truth] == sc.ld_grid.tolist()
+        for row in truth:
+            ld, mean1_db = float(row["ld"]), float(row["mean1_db"])
+            phi = simulator.true_params_at(ld, sc)
+            assert tuple(float(row[f]) for f in PARAM_FIELDS) == phi.row()
+            assert mean1_db == sc.pl_a - sc.pl_b * ld
+            assert 10 * math.log10(phi.comp1.mean) == pytest.approx(mean1_db)
+            assert float(row["mean2_db"]) == sc.interference_mean_db
 
     def test_byte_identical_reruns(self, tmp_path, scenario_config):
         a = _simulate(tmp_path, scenario_config).read_bytes()
         b = _simulate(tmp_path, scenario_config).read_bytes()
         assert a == b
+        # --seed writes what the scenario's own seed would
+        outs = []
+        for doc, flags in (({}, ["--seed", "5"]), ({"seed": 5}, []),
+                           ({}, [])):
+            cfg, out = tmp_path / "sc.json", tmp_path / f"{len(outs)}.csv"
+            cfg.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         *flags]) == 0
+            outs.append((out.read_bytes(),
+                         Path(f"{out}.truth.csv").read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][0] != outs[2][0]
 
     def test_missing_config(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -196,10 +217,20 @@ class TestEstimate:
             row, = csv.DictReader(fh)
         assert row["loss_fraction"] == "0.05"
 
-    def test_missing_input(self, tmp_path):
+    def test_missing_input(self, tmp_path, capsys):
         rc = main(["estimate", "--input", str(tmp_path / "nope.csv"),
                    "--c-db", "-109", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+        # an empty log, or one of comments and blank lines only
+        for text in ("", "# a comment\n\n"):
+            packets = tmp_path / "p.csv"
+            packets.write_text(text)
+            capsys.readouterr()
+            rc = main(["estimate", "--input", str(packets), "--c-db", "-109",
+                       "--out", str(tmp_path / "o.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == \
+                "chanest estimate: missing header row\n"
 
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     def test_history_over_cap(self, tmp_path, scenario_config, capsys,
@@ -226,17 +257,24 @@ class TestFailedBins:
     def _run(tmp_path, rows):
         """Write (log10 distance, RSSI) rows as a log and run estimate and
         compare on it at --ld-step 1; return each command's CSV rows."""
-        packets = tmp_path / "p.csv"
+        packets, trace = tmp_path / "p.csv", tmp_path / "trace.csv"
         packets.write_text("seq,distance_m,rssi_dbm\n" + "".join(
             f"{s},{10 ** e!r},{r}\n" for s, (e, r) in enumerate(rows, 1)))
         outs = []
-        for command in ("estimate", "compare"):
+        for command, flags in (("estimate", ["--trace", str(trace)]),
+                               ("compare", [])):
             out = tmp_path / f"{command}.csv"
             rc = main([command, "--input", str(packets), "--c-db", "-109",
-                       "--ld-step", "1", "--out", str(out)])
+                       "--ld-step", "1", "--out", str(out), *flags])
             assert rc == 0
             with out.open(newline="") as fh:
                 outs.append(list(csv.DictReader(fh)))
+        # the trace holds the 50 iterations of each ok bin, and no row of a
+        # failed one
+        with trace.open(newline="") as fh:
+            traced = [row["ld"] for row in csv.DictReader(fh)]
+        assert traced == [row["ld"] for row in outs[0]
+                          if row["status"] == "ok" for _ in range(50)]
         return outs
 
     def test_failed_bins_have_status_rows(self, tmp_path):
@@ -396,7 +434,8 @@ def _mutate(lines, mutation):
 
 
 class TestAnyMalformedLog:
-    """Any mutation of a valid log exits 0 or 2, never with a traceback."""
+    """Any mutation of a valid log exits 0 or 2 from estimate and compare,
+    never with a traceback."""
 
     @settings(max_examples=60, deadline=None)
     @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
@@ -410,17 +449,19 @@ class TestAnyMalformedLog:
         with tempfile.TemporaryDirectory() as tmp:
             packets, out = Path(tmp, "packets.csv"), Path(tmp, "o.csv")
             packets.write_bytes(b"\r\n".join(lines))
-            out.write_text("earlier output\n")
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")  # a warning fails too
-                rc = main(["estimate", "--input", str(packets), "--c-db",
-                           "-109", "--iters", "3", "--burn", "1",
-                           "--out", str(out)])
-            assert rc in (0, 2)
-            if rc == 2:
-                assert err.getvalue().startswith("chanest estimate:")
-                assert out.read_text() == "earlier output\n"
+            for command in ("estimate", "compare"):
+                out.write_text("earlier output\n")
+                err = io.StringIO()
+                with warnings.catch_warnings(), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")  # a warning fails too
+                    rc = main([command, "--input", str(packets), "--c-db",
+                               "-109", "--iters", "3", "--burn", "1",
+                               "--out", str(out)])
+                assert rc in (0, 2)
+                if rc == 2:
+                    assert err.getvalue().startswith(f"chanest {command}:")
+                    assert out.read_text() == "earlier output\n"
 
 
 class TestUnwritableOutput:
@@ -495,7 +536,7 @@ class TestFit:
         assert a == pytest.approx(-16.0, abs=2.0)
         assert b == pytest.approx(3.0, abs=0.3)
 
-    def test_exact_line_input(self, tmp_path):
+    def test_exact_line_input(self, tmp_path, capsys):
         est = tmp_path / "est.csv"
         hdr = ("ld,alpha1,m1,omega1,m2,omega2,mean1_db,mean2_db,"
                "loss_fraction,status\n")
@@ -510,6 +551,14 @@ class TestFit:
                    .splitlines()[1].split(","))
         assert a == pytest.approx(-16.0, abs=1e-9)
         assert b == pytest.approx(3.0, abs=1e-9)
+        # without --out the line goes to stdout as --out writes it
+        assert main(["fit", "--input", str(est)]) == 0
+        assert capsys.readouterr() == ((tmp_path / "f.csv").read_text(), "")
+        rc = main(["fit", "--input", str(est), "--out",
+                   str(tmp_path / "missing" / "f.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chanest fit:") and "missing" in err
 
     def test_single_bin_is_numerical_failure(self, tmp_path):
         est = tmp_path / "est.csv"
@@ -566,6 +615,9 @@ class TestFit:
         rows = "".join(
             f"{ld},0.5,7,1,35,1,{-16 - 3 * ld if ld < 26 else 0.0},-97,0.0,ok\n"
             for ld in (23.0, 24.0, 25.0, 27.0))
+        # off the line, but failed or without a mean: fit skips both
+        rows += ("29.0,0.5,7,1,35,1,0.0,-97,0.5,numerical-failure\n"
+                 "30.0,0.5,7,1,35,1,,-97,0.0,ok\n")
         est.write_text(hdr + rows)
         rc = main(["fit", "--input", str(est), "--exclude-ld", "26:28",
                    "--out", str(tmp_path / "f.csv")])
@@ -573,6 +625,7 @@ class TestFit:
         a, b = map(float, (tmp_path / "f.csv").read_text()
                    .splitlines()[1].split(","))
         assert a == pytest.approx(-16.0, abs=1e-9)
+        assert b == pytest.approx(3.0, abs=1e-9)
 
 
 class TestUsage:

@@ -73,6 +73,8 @@ class TestSolveShape:
             solve_shape(math.nan)
         with pytest.raises(ValueError):
             solve_shape(math.inf)
+        with pytest.raises(ValueError, match="unknown digamma mode 'bogus'"):
+            solve_shape(0.0, "bogus")
 
     @pytest.mark.parametrize("mode", ["exact", "paper"])
     def test_unrepresentable_root_is_inf(self, mode):
@@ -134,3 +136,7 @@ class TestSampleTruncatedGamma:
         p = GammaParams(35.0, 1.0)
         with pytest.raises(NumericalFailureError):
             sample_truncated_gamma(p, 1e-9, np.random.default_rng(3), 10)
+        # a threshold that is not finite and > 0 is no underflow
+        for c in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be finite and > 0"):
+                sample_truncated_gamma(p, c, np.random.default_rng(3), 10)

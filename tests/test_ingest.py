@@ -53,6 +53,11 @@ class TestParsePacketLog:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             _parse("1,200,-85.2\n")
+        # an empty log, or one of comments and blank lines only
+        for text in ("", "# a comment\n\n# another\n"):
+            with pytest.raises(ParseError, match="missing header row") as err:
+                _parse(text)
+            assert err.value.lines == [1]
 
     def test_no_rows(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,9 @@ class TestCensoredBin:
         assert b.n_total == 5
         assert b.loss_fraction == pytest.approx(0.6)
         assert b.c_lin == pytest.approx(1e-10)
+        # any integer type counts
+        assert CensoredBin(ld=23.0, observed=[1e-9], r1=np.int64(2),
+                           c_db=-100.0).n_total == 3
 
     def test_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError, match="r1 must be >= 0"):
@@ -84,6 +88,28 @@ class TestCensoredBin:
     def test_rejects_sample_at_or_below_threshold(self):
         with pytest.raises(ValueError):
             CensoredBin(ld=23.0, observed=[1e-10], r1=0, c_db=-100.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"observed": [1e-9, np.nan]}, "finite powers"),
+        ({"observed": [1e-9, np.inf]}, "finite powers"),
+        ({"observed": [[1e-9, 2e-9]]}, "1-D"),
+        ({"r1": 2.5}, "r1 must be an integer, got 2.5"),
+        ({"r1": True}, "r1 must be an integer, got True"),
+        ({"ld": np.nan}, "ld must be finite"),
+        ({"ld": -np.inf}, "ld must be finite"),
+        ({"c_db": np.nan}, "linear threshold finite and > 0, got c_db=nan"),
+        # a linear threshold of 0 (underflow) and inf (overflow)
+        ({"c_db": -4000.0}, "linear threshold"),
+        ({"c_db": 4000.0}, "linear threshold"),
+    ], ids=["nan-observed", "inf-observed", "2d-observed", "fractional-r1",
+            "bool-r1", "nan-ld", "inf-ld", "nan-c_db", "zero-threshold",
+            "inf-threshold"])
+    def test_rejects_bad_values(self, kwargs, match):
+        bin_ = dict(ld=23.0, observed=[1e-9, 2e-9], r1=3, c_db=-100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails too
+            with pytest.raises(ValueError, match=match):
+                CensoredBin(**{**bin_, **kwargs})
 
 
 class TestPathLossLine:

@@ -17,8 +17,7 @@ from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
                            SemConfig, e_step_censored, e_step_observed,
                            fit_bins, init_heuristic, m_step, run_semcm,
                            run_semcm_batch, s_step)
-from chanest.simulator import (Scenario, generate_scenario, ground_truth,
-                               true_params_at)
+from chanest.simulator import Scenario, generate_scenario, true_params_at
 
 
 def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
@@ -47,6 +46,8 @@ class TestSemConfig:
     def test_validates_burn_window(self):
         with pytest.raises(ValueError):
             SemConfig(iterations=5, burn_window=6)
+        with pytest.raises(ValueError, match="unknown digamma mode 'bogus'"):
+            SemConfig(digamma_mode="bogus")
 
 
 class TestEStepObserved:
@@ -288,10 +289,9 @@ class TestRunSemcm:
 
     def test_default_scenario_shape_recovery(self):
         sc = Scenario(seed=21)
-        bins, truth = generate_scenario(sc), ground_truth(sc)
-        bin_ = bins[0]  # ld = 23, well-separated clusters
+        bin_ = generate_scenario(sc)[0]  # ld = 23, well-separated clusters
         rng = np.random.default_rng(21)
-        trace = run_semcm(bin_, truth.params[0], SemConfig(), rng)
+        trace = run_semcm(bin_, true_params_at(bin_.ld, sc), SemConfig(), rng)
         assert trace.final.comp1.m == pytest.approx(7.0, rel=0.3)
         assert trace.final.comp2.m == pytest.approx(35.0, rel=0.3)
 
@@ -340,9 +340,9 @@ class TestRunSemcm:
 
     def test_trace_length_and_counts(self):
         sc = Scenario(seed=23)
-        bins, truth = generate_scenario(sc), ground_truth(sc)
+        bins = generate_scenario(sc)
         cfg = SemConfig(iterations=30, burn_window=5)
-        trace = run_semcm(bins[16], truth.params[16], cfg,
+        trace = run_semcm(bins[16], true_params_at(bins[16].ld, sc), cfg,
                           np.random.default_rng(5))
         assert len(trace.iterates) == 30
         assert trace.iterates.shape == (30, len(PARAM_FIELDS))

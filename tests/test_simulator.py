@@ -10,8 +10,7 @@ from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
                             parse_packet_log, write_packet_log)
 from chanest.model import linear_to_db
 from chanest.simulator import (MAX_PACKETS, Scenario, censoring_probability,
-                               generate_scenario, ground_truth, packet_rows,
-                               true_params_at)
+                               generate_scenario, packet_rows, true_params_at)
 
 
 class TestScenario:
@@ -89,10 +88,9 @@ class TestSignalOmega:
     def test_mean_line_from_samples(self):
         # per-bin average of uncensored signal draws follows A - B*ld
         sc = Scenario(mixing_alpha1=1.0, c_db=-1000.0, seed=1)
-        bins, truth = generate_scenario(sc), ground_truth(sc)
-        for bin_, want in zip(bins, truth.mean1_db):
+        for bin_ in generate_scenario(sc):
             got = linear_to_db(bin_.observed.mean())
-            assert abs(got - want) < 0.3
+            assert abs(got - (sc.pl_a - sc.pl_b * bin_.ld)) < 0.3
 
 
 class TestGenerateScenario:
@@ -134,13 +132,6 @@ class TestGenerateScenario:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.observed, y.observed)
             assert x.r1 == y.r1
-
-    def test_ground_truth_consistency(self):
-        sc = Scenario(seed=7)
-        truth = ground_truth(sc)
-        for ld, phi, m1db in zip(truth.lds, truth.params, truth.mean1_db):
-            assert phi == true_params_at(float(ld), sc)
-            assert 10 * math.log10(phi.comp1.mean) == pytest.approx(m1db)
 
 
 class TestPacketRows:
