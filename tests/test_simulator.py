@@ -133,6 +133,19 @@ class TestGenerateScenario:
             np.testing.assert_array_equal(x.observed, y.observed)
             assert x.r1 == y.r1
 
+    def test_ground_truth_consistency(self):
+        # a generated bin's truth is true_params_at(ld), whose signal mean
+        # lies on the scenario's mean line
+        sc = Scenario(seed=7)
+        bins = generate_scenario(sc)
+        assert [b.ld for b in bins] == sc.ld_grid.tolist()
+        for bin_ in bins:
+            phi = true_params_at(bin_.ld, sc)
+            assert 10 * math.log10(phi.comp1.mean) == pytest.approx(
+                sc.pl_a - sc.pl_b * bin_.ld)
+            assert 10 * math.log10(phi.comp2.mean) == pytest.approx(
+                sc.interference_mean_db)
+
 
 class TestPacketRows:
     def test_matches_generate_scenario(self):
