@@ -71,7 +71,7 @@ def parse_packet_log(stream) -> np.ndarray:
         linenos.append(np.arange(read + 1, read + 1 + rows.size))
         read += rows.size
     if not header_ok:
-        raise ParseError("missing header row", lines=[1])
+        raise ParseError("line 1: missing header row", lines=[1])
 
     log = np.concatenate(logs)  # one array per block read
     order = np.argsort(log["seq"], kind="stable")
@@ -133,7 +133,9 @@ def _row_loop(lines, read: int, header_ok: bool):
         for row in reader:
             # named by the line it starts on: a quoted field may span lines
             lineno, end = end + 1, read + reader.line_num
-            if not row or (row[0].lstrip().startswith("#")):
+            # a blank line, one of only whitespace, or a comment
+            if not row or row[0].lstrip().startswith("#") \
+                    or (len(row) == 1 and not row[0].strip()):
                 continue
             if not header_ok:
                 if [c.strip() for c in row] != HEADER:

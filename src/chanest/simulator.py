@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .ingest import LOG_DTYPE
+from .ingest import LOG_DTYPE, bin_by_ld
 from .model import CensoredBin, GammaParams, MixtureParams, db_to_linear
 
 # Most packets (grid bins x n_per_bin) a scenario may hold; the largest
@@ -125,27 +125,10 @@ def true_params_at(ld: float, sc: Scenario) -> MixtureParams:
         GammaParams(sc.m2, db_to_linear(sc.interference_mean_db) / sc.m2))
 
 
-def _draw_bin(sc: Scenario, bin_index: int, ld: float):
-    """Per-packet mixture values for one bin plus the keep (received) mask."""
-    rng = np.random.default_rng([sc.seed, bin_index])
-    phi = true_params_at(ld, sc)
-    signal = rng.gamma(phi.comp1.m, phi.comp1.omega, sc.n_per_bin)
-    interf = rng.gamma(phi.comp2.m, phi.comp2.omega, sc.n_per_bin)
-    take_signal = rng.random(sc.n_per_bin) < sc.mixing_alpha1
-    mixed = np.where(take_signal, signal, interf)
-    keep = mixed > db_to_linear(sc.c_db)
-    return mixed, keep
-
-
 def generate_scenario(sc: Scenario) -> list[CensoredBin]:
-    """The censored bins of a scenario; ``true_params_at`` is their truth."""
-    bins = []
-    for b, ld in enumerate(sc.ld_grid.tolist()):
-        mixed, keep = _draw_bin(sc, b, ld)
-        obs = mixed[keep]
-        bins.append(CensoredBin(ld=ld, observed=obs,
-                                r1=sc.n_per_bin - obs.size, c_db=sc.c_db))
-    return bins
+    """The censored bins that ``estimate`` fits for the scenario's log; the
+    truth of bin b is ``true_params_at(sc.ld_grid[b], sc)``."""
+    return bin_by_ld(packet_rows(sc), sc.ld_step, sc.c_db)
 
 
 def censoring_probability(ld: float, sc: Scenario) -> float:
@@ -159,15 +142,19 @@ def censoring_probability(ld: float, sc: Scenario) -> float:
 
 def packet_rows(sc: Scenario) -> np.ndarray:
     """The packet log of a scenario, one ``LOG_DTYPE`` row per transmitted
-    packet, drawn identically to ``generate_scenario``; a packet below the
-    threshold has NaN RSSI."""
+    packet; bin b draws from ``default_rng([sc.seed, b])``, and a packet
+    below the threshold has NaN RSSI."""
     n = sc.n_per_bin
     log = np.empty(n * sc.ld_grid.size, LOG_DTYPE)
     log["seq"] = np.arange(1, log.size + 1)
-    for b, ld in enumerate(sc.ld_grid):
-        mixed, keep = _draw_bin(sc, b, float(ld))
+    for b, ld in enumerate(sc.ld_grid.tolist()):
+        rng = np.random.default_rng([sc.seed, b])
+        phi = true_params_at(ld, sc)
+        signal = rng.gamma(phi.comp1.m, phi.comp1.omega, n)
+        interf = rng.gamma(phi.comp2.m, phi.comp2.omega, n)
+        mixed = np.where(rng.random(n) < sc.mixing_alpha1, signal, interf)
         rows = log[b * n:(b + 1) * n]
-        rows["distance_m"] = 10.0 ** (float(ld) / 10.0)
+        rows["distance_m"] = 10.0 ** (ld / 10.0)
         rows["rssi_dbm"] = 10.0 * np.log10(mixed, out=np.full(n, np.nan),
-                                           where=keep)
+                                           where=mixed > db_to_linear(sc.c_db))
     return log

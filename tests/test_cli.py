@@ -161,6 +161,22 @@ class TestEstimate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_whitespace_lines_are_blank(self, tmp_path, scenario_config):
+        # lines of only spaces or tabs between rows change nothing
+        packets = _simulate(tmp_path, scenario_config)
+        lines = packets.read_bytes().split(b"\r\n")
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_bytes(b"\r\n".join(lines[:3] + [b"   ", b"\t"]
+                                        + lines[3:]))
+        outs = []
+        for log in (packets, spaced):
+            out = tmp_path / f"{log.stem}.est.csv"
+            rc = main(["estimate", "--input", str(log), "--c-db", "-109",
+                       "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_matches_library(self, tmp_path):
         # two of the seven bins have fewer than 2 received packets
         sc = Scenario(ld_start=29.0, ld_end=32.0, n_per_bin=5, c_db=-100.0,
@@ -172,9 +188,8 @@ class TestEstimate:
                      "--out", str(packets)]) == 0
         assert main(["estimate", "--input", str(packets), "--c-db", "-100",
                      "--seed", "2", "--out", str(est)]) == 0
-        results = semcm.fit_bins(ingest.bin_by_ld(
-            simulator.packet_rows(sc), sc.ld_step, sc.c_db),
-            semcm.SemConfig(), 2)
+        results = semcm.fit_bins(simulator.generate_scenario(sc),
+                                 semcm.SemConfig(), 2)
         status = {semcm.SemTrace: "ok",
                   InsufficientDataError: "insufficient-data",
                   DegenerateFitError: "degenerate-fit",
@@ -230,7 +245,7 @@ class TestEstimate:
                        "--out", str(tmp_path / "o.csv")])
             assert rc == 2
             assert capsys.readouterr().err == \
-                "chanest estimate: missing header row\n"
+                "chanest estimate: line 1: missing header row\n"
 
     @pytest.mark.parametrize("command", ["estimate", "compare"])
     def test_history_over_cap(self, tmp_path, scenario_config, capsys,

@@ -49,12 +49,17 @@ class TestParsePacketLog:
     def test_comments_and_blank_lines_ignored(self):
         log = _parse("# a comment\n" + HEADER + "\n# another\n1,100,-90\n")
         assert len(log) == 1
+        # lines of only spaces or tabs are blank too
+        log = _parse(" \t\n" + HEADER + "   \r\n1,100,-90\n\t\n2,100,\n")
+        assert log["seq"].tolist() == [1, 2]
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
             _parse("1,200,-85.2\n")
-        # an empty log, or one of comments and blank lines only
-        for text in ("", "# a comment\n\n# another\n"):
+        # an empty log, or one of comments and blank lines only; a line of
+        # only spaces is blank
+        for text in ("", "# a comment\n\n# another\n",
+                     "# a comment\n\n  \n"):
             with pytest.raises(ParseError, match="missing header row") as err:
                 _parse(text)
             assert err.value.lines == [1]
@@ -81,7 +86,8 @@ class TestParsePacketLog:
     @pytest.mark.parametrize("row", [
         "x,100,-90", "2,-5,-90", "2,inf,-90", "2,nan,-90", "2,100,inf",
         "2,100,-inf", "2,100,nan", "2,100,-90,0", "2,100", "2.5,100,-90",
-        f"{2 ** 63},100,-90", "2,100,3082.6", "2,100,-9\udcff0"])
+        f"{2 ** 63},100,-90", "2,100,3082.6", "2,100,-9\udcff0", ",,",
+        " , "])
     def test_malformed_row_kinds(self, row):
         with pytest.raises(ParseError) as err:
             _parse(HEADER + "1,100,-90\n" + row + "\n3,100,-80\n")
@@ -189,7 +195,7 @@ ODD_FIELDS = ["nan", "inf", "-inf", "1_0", " 5", "5 ", "", "+5", "007",
               str(2 ** 63), str(-2 ** 63 - 1), "-9\udcff0", "0", "0.0",
               "-1.5", "1e-400", "1e400", "-1e400", "3082.6",
               "0" * csv.field_size_limit() + "5"]
-ODD_LINES = ["# a comment", "", '7,"100\r\n5",-90', '8,"5']
+ODD_LINES = ["# a comment", "", " \t", ",,", '7,"100\r\n5",-90', '8,"5']
 SEQ_SHIFTS = [1, -1, MAX_SEQ_GAP + 1, -10 ** 12]
 LINE_ENDS = ["\n", "\r"]
 NEWLINES = [None, "", "\n", "\r", "\r\n"]  # of the StringIO read
