@@ -15,7 +15,8 @@ from chanest.simulator import Scenario, packet_rows
 
 
 def _parse(text):
-    return parse_packet_log(io.StringIO(text))
+    # as the CLI opens its --input: lines end at CR, LF and CRLF alike
+    return parse_packet_log(io.StringIO(text, newline=""))
 
 
 def _log(rows):
@@ -87,7 +88,7 @@ class TestParsePacketLog:
         "x,100,-90", "2,-5,-90", "2,inf,-90", "2,nan,-90", "2,100,inf",
         "2,100,-inf", "2,100,nan", "2,100,-90,0", "2,100", "2.5,100,-90",
         f"{2 ** 63},100,-90", "2,100,3082.6", "2,100,-9\udcff0", ",,",
-        " , "])
+        " , ", "2,1\x0c00,-90"])
     def test_malformed_row_kinds(self, row):
         with pytest.raises(ParseError) as err:
             _parse(HEADER + "1,100,-90\n" + row + "\n3,100,-80\n")
@@ -156,12 +157,39 @@ class TestWritePacketLog:
         assert out.getvalue() == ("seq,distance_m,rssi_dbm\r\n"
                                   "1,100.0,-90.5\r\n2,0.1,\r\n")
 
+    @staticmethod
+    def _per_row_text(log):
+        """The per-row formula the chunked writer must match."""
+        return "seq,distance_m,rssi_dbm\r\n" + "".join(
+            f"{s},{d!r},{'' if r != r else repr(r)}\r\n"
+            for s, d, r in log.tolist())
+
+    @settings(deadline=None)
+    @given(log=_logs(), rows=st.integers(1, 7))
+    def test_same_text_as_per_row_format(self, log, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_ROWS", rows)  # chunk edges inside
+            out = io.StringIO()
+            write_packet_log(out, log)
+        assert out.getvalue() == self._per_row_text(log)
+
+    @pytest.mark.parametrize("rows", [[], [
+        (2 ** 62, -0.0, 5e-324), (-2 ** 62, 0.0, 1e16), (5, -0.0, 1e-05),
+        (6, 0.0, math.inf), (7, 5e-324, -math.inf), (8, 1e16, -0.0),
+        (9, 1e-05, math.nan), (10, math.inf, -math.nan),
+        (11, math.nan, 0.0), (12, -math.nan, -5e-324)]],
+        ids=["empty", "edge-values"])
+    def test_edge_values_as_per_row_format(self, rows):
+        out = io.StringIO()
+        write_packet_log(out, _log(rows))
+        assert out.getvalue() == self._per_row_text(_log(rows))
+
     @settings(deadline=None)
     @given(_logs())
     def test_round_trip_bit_exact(self, log):
         out = io.StringIO()
         write_packet_log(out, log)
-        back = parse_packet_log(io.StringIO(out.getvalue()))
+        back = parse_packet_log(io.StringIO(out.getvalue(), newline=""))
         assert back.dtype == LOG_DTYPE
         np.testing.assert_array_equal(back["seq"], log["seq"])
         for field in ("distance_m", "rssi_dbm"):
@@ -172,10 +200,11 @@ class TestWritePacketLog:
 
 @contextlib.contextmanager
 def _row_loop_only():
-    """parse_packet_log with every line read by the csv row loop."""
+    """parse_packet_log with every line read by one csv row loop."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "BLOCK_CHARS", -1)  # the whole log in one block
         mp.setattr(ingest, "_HEADER_LINES", ())
-        mp.setattr(ingest, "_bulk_rows", lambda lines: None)
+        mp.setattr(ingest, "_bulk_rows", lambda text: None)
         yield
 
 
@@ -300,6 +329,75 @@ class TestBulkParse:
         monkeypatch.setattr(ingest.csv, "reader", no_row_loop)
         assert parse() == want
         assert isinstance(want, list)
+
+    def test_only_odd_blocks_take_row_loop(self, monkeypatch):
+        out = io.StringIO()
+        write_packet_log(out, packet_rows(Scenario(n_per_bin=300, seed=3)))
+        lines = out.getvalue().splitlines(keepends=True)
+        lines.insert(len(lines) // 2, "# receiver 7 moved\r\n")
+        text = "# receiver 7\r\n" + "".join(lines)  # above the header
+        assert len(text) > 3 * ingest.BLOCK_CHARS
+        with _row_loop_only():
+            want = _outcome(io.StringIO(text, newline=""))
+        readers, reader = [], csv.reader
+
+        def counted(lines):
+            readers.append(lines)
+            return reader(lines)
+
+        monkeypatch.setattr(ingest.csv, "reader", counted)
+        assert _outcome(io.StringIO(text, newline="")) == want
+        assert len(readers) == 2
+        assert isinstance(want, list)
+
+    @staticmethod
+    def _check_bulk(text, block, monkeypatch):
+        """The row loop's result, with no line read by the row loop."""
+        with _row_loop_only():
+            want = _outcome(io.StringIO(text, newline=""))
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", block)
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("a block went through the csv row loop")
+
+        monkeypatch.setattr(ingest.csv, "reader", no_row_loop)
+        assert _outcome(io.StringIO(text, newline="")) == want
+        assert isinstance(want, list)
+
+    def test_block_edge_between_cr_and_lf(self, monkeypatch):
+        log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
+        text = _mutated_text(log, [])
+        header = len(",".join(ingest.HEADER) + "\r\n")
+        # the first read ends on the '\r' of the first row, and so on
+        self._check_bulk(text, text.index("\r", header) + 1 - header,
+                         monkeypatch)
+
+    def test_line_longer_than_block(self, monkeypatch):
+        log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
+        text = _mutated_text(log, [("field", 10, 1, "0" * 300 + "100.5")])
+        self._check_bulk(text, 60, monkeypatch)
+
+    def test_quoted_field_across_block_edge(self):
+        log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
+        text = _mutated_text(log, [("insert", 20, '7,"100\r\n5",-90')])
+        for block in range(1, 120):  # every edge around the quoted field
+            self._check(text, block, "")
+
+    def test_lf_lines_in_crlf_stream(self, tmp_path, monkeypatch):
+        # a stream opened with newline="\r\n" reads LF-ended lines as one
+        log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
+        path = tmp_path / "packets.csv"
+        path.write_text(_mutated_text(log, [("ends", 20, "\n")]), newline="")
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", 100)
+
+        def parse():
+            with open(path, newline="\r\n") as fh:
+                return _outcome(fh)
+
+        with _row_loop_only():
+            want = parse()
+        assert parse() == want
+        assert "new-line character seen in unquoted field" in want[0]
 
 
 def _reference_losses(log):
