@@ -63,43 +63,36 @@ def parse_packet_log(stream) -> np.ndarray:
     its line. Open a file with ``errors="surrogateescape"`` so that bytes
     which are not UTF-8 reach the parser and make their row malformed.
 
-    A stream opened with ``newline=""`` or None, which ends lines at CR, LF
-    and CRLF alike, is read in blocks of whole lines. A block as
+    The stream is read in blocks of whole lines. A block as
     ``write_packet_log`` writes it is parsed in bulk; another goes through
     the ``csv`` row loop, which alone names bad lines, and so does the rest
-    of the log after a block that holds a quote, or of a stream opened
-    another way. Either way the result is the same."""
-    logs, linenos, bad = [np.empty(0, LOG_DTYPE)], [np.empty(0, int)], []
+    of the log after a block that holds a quote. Either way the result is
+    the same."""
+    logs, linenos, bad = [], [], []
     header_ok, read = False, 0  # read: lines so far
-    text = stream.readline()
-    # only a stream that ends lines at CR, LF and CRLF alike, as
-    # io.StringIO(text, newline="") splits a block, reports those it saw
-    rest = stream.newlines is None  # the row loop reads the rest
-    if not rest and text in _HEADER_LINES:
-        header_ok, read, text = True, 1, ""
-    while True:
-        if not rest:  # read to the end of the last line
-            text += stream.read(BLOCK_CHARS) + stream.readline()
-        if not text:
-            break
-        rows = _bulk_rows(text) if header_ok else None
+    for lines in iter(lambda: stream.readlines(BLOCK_CHARS), []):
+        if not read and lines[0] in _HEADER_LINES:
+            header_ok, read, lines = True, 1, lines[1:]
+        rows = _bulk_rows(lines) if header_ok else None
+        # csv.reader closes a quoted field left open at its last line, so
+        # after a quote the row loop reads the rest of the log
+        rest = rows is None and any('"' in line for line in lines)
         if rows is None:
-            lines = [text] if rest else io.StringIO(text, newline="")
-            # csv.reader closes a quoted field left open at its last line
-            rest = rest or '"' in text
-            header_ok, rows, where, read = _row_loop(
+            header_ok, rows, where, more = _row_loop(
                 itertools.chain(lines, stream) if rest else lines, read,
-                header_ok, bad)
-        else:
+                header_ok)
+            bad += more
+        else:  # one line a row
             where = np.arange(read + 1, read + 1 + rows.size)
-            read += rows.size
         logs.append(rows)
         linenos.append(where)
-        text = ""
+        if rest:
+            break
+        read += len(lines)
     if not header_ok:
         raise ParseError("line 1: missing header row", lines=[1])
 
-    log = np.concatenate(logs)  # an empty array, then one per block
+    log = np.concatenate(logs)  # one array per block read
     order = np.argsort(log["seq"], kind="stable")
     # sorted, so each step is in [0, 2**64): exact as uint64 where int64 wraps
     step = np.diff(log["seq"][order]).view(np.uint64)
@@ -114,18 +107,24 @@ def parse_packet_log(stream) -> np.ndarray:
     return log
 
 
-def _bulk_rows(text: str) -> np.ndarray | None:
+def _bulk_rows(lines: list[str]) -> np.ndarray | None:
     """The rows of a block of whole lines, parsed in one ``np.loadtxt``
     call; None if the block is not as ``write_packet_log`` writes it or a
     row is malformed."""
-    end = "\r\n" if text.endswith("\r\n") else "\n"
+    if not lines:
+        return np.empty(0, LOG_DTYPE)
+    text = "".join(lines)
     limit = csv.field_size_limit()
+    if not (text.isascii() and text[-1] == "\n"
+            and (len(text) <= limit or max(map(len, lines)) <= limit)):
+        return None
     # Without its number characters each line must read ',,\r\n' (or ',,\n'
-    # in every line): then the block ends each line at one '\n'.
-    if not (text.isascii() and text[-1] == "\n") \
-            or text.encode("ascii").translate(None, _NUMBER) \
-            != f",,{end}".encode("ascii") * text.count("\n") \
-            or len(text) > limit and max(map(len, text.split("\n"))) > limit:
+    # in every line). The header line ended in '\n', so the stream ends a
+    # line at a '\n', and n lines with n '\n's, the last at the end, end in
+    # one each.
+    end = "\r\n" if text.endswith("\r\n") else "\n"
+    if text.encode("ascii").translate(None, _NUMBER) \
+            != f",,{end}".encode("ascii") * len(lines):
         return None
     try:  # an empty RSSI field is a lost packet
         rows = np.loadtxt(io.StringIO(text.replace(f",{end}", f",nan{end}")),
@@ -140,12 +139,13 @@ def _bulk_rows(text: str) -> np.ndarray | None:
     return rows
 
 
-def _row_loop(lines, read: int, header_ok: bool, bad: list[int]):
+def _row_loop(lines, read: int, header_ok: bool):
     """Parse ``lines`` row by row with ``csv.reader``, the next lines of a
-    log of which ``read`` lines are already read, adding the line numbers
-    of malformed rows to ``bad``. Returns whether the header was seen, a log
-    of the well-formed rows, their line numbers and the lines read in all."""
+    log of which ``read`` lines are already read. Returns whether
+    the header was seen, a log of the well-formed rows, their line numbers
+    and the line numbers of the malformed ones."""
     seq, dist, rssi, where = array("q"), array("d"), array("d"), array("q")
+    bad = []
     reader = csv.reader(lines)
     end = read  # lines up to the end of the last record
     try:
@@ -183,7 +183,7 @@ def _row_loop(lines, read: int, header_ok: bool, bad: list[int]):
         raise ParseError(f"line {lineno}: {exc}", lines=[lineno]) from None
     log = np.empty(len(seq), LOG_DTYPE)
     log["seq"], log["distance_m"], log["rssi_dbm"] = seq, dist, rssi
-    return header_ok, log, np.asarray(where), read + reader.line_num
+    return header_ok, log, np.asarray(where), bad
 
 
 def infer_losses(log: np.ndarray) -> np.ndarray:

@@ -15,8 +15,7 @@ from chanest.simulator import Scenario, packet_rows
 
 
 def _parse(text):
-    # as the CLI opens its --input: lines end at CR, LF and CRLF alike
-    return parse_packet_log(io.StringIO(text, newline=""))
+    return parse_packet_log(io.StringIO(text))
 
 
 def _log(rows):
@@ -189,7 +188,7 @@ class TestWritePacketLog:
     def test_round_trip_bit_exact(self, log):
         out = io.StringIO()
         write_packet_log(out, log)
-        back = parse_packet_log(io.StringIO(out.getvalue(), newline=""))
+        back = parse_packet_log(io.StringIO(out.getvalue()))
         assert back.dtype == LOG_DTYPE
         np.testing.assert_array_equal(back["seq"], log["seq"])
         for field in ("distance_m", "rssi_dbm"):
@@ -202,9 +201,9 @@ class TestWritePacketLog:
 def _row_loop_only():
     """parse_packet_log with every line read by one csv row loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "BLOCK_CHARS", -1)  # the whole log in one block
+        mp.setattr(ingest, "BLOCK_CHARS", -1)  # readlines: every line
         mp.setattr(ingest, "_HEADER_LINES", ())
-        mp.setattr(ingest, "_bulk_rows", lambda text: None)
+        mp.setattr(ingest, "_bulk_rows", lambda lines: None)
         yield
 
 
@@ -338,7 +337,7 @@ class TestBulkParse:
         text = "# receiver 7\r\n" + "".join(lines)  # above the header
         assert len(text) > 3 * ingest.BLOCK_CHARS
         with _row_loop_only():
-            want = _outcome(io.StringIO(text, newline=""))
+            want = _outcome(io.StringIO(text))
         readers, reader = [], csv.reader
 
         def counted(lines):
@@ -346,7 +345,7 @@ class TestBulkParse:
             return reader(lines)
 
         monkeypatch.setattr(ingest.csv, "reader", counted)
-        assert _outcome(io.StringIO(text, newline="")) == want
+        assert _outcome(io.StringIO(text)) == want
         assert len(readers) == 2
         assert isinstance(want, list)
 
@@ -368,7 +367,7 @@ class TestBulkParse:
         log = _log([(s, 100.0 + s, -90.0 - s / 7) for s in range(1, 30)])
         text = _mutated_text(log, [])
         header = len(",".join(ingest.HEADER) + "\r\n")
-        # the first read ends on the '\r' of the first row, and so on
+        # the first block's size hint ends on the '\r' of the first row
         self._check_bulk(text, text.index("\r", header) + 1 - header,
                          monkeypatch)
 
