@@ -146,9 +146,10 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     """Draw labels for every sample and impute the censored values.
 
     Bin b draws from ``rngs[b]`` only, in one pass: each attempt at its
-    labels draws random(n_obs), then random(r1) for the censored labels, k1
-    of which take component 1, and a bin left with an empty component draws
-    again, up to ``EMPTY_COMPONENT_RETRIES`` attempts in all. It then
+    labels draws random(n_obs + r1), the first n_obs doubles for the
+    observed labels and the last r1 for the censored ones, k1 of which take
+    component 1, and a bin left with an empty component draws again, up to
+    ``EMPTY_COMPONENT_RETRIES`` attempts in all. It then
     imputes component 1's k1 censored values, then component 2's r1 - k1,
     each by ``draw_truncated_gamma`` with the component's truncated mass
     from ``e_step_censored``. Returns the completion and a dict from the
@@ -181,8 +182,9 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
             continue
         rng, z = rngs[b], z_obs[o0:o1]
         for _ in range(EMPTY_COMPONENT_RETRIES):
-            np.less(rng.random(n), t_obs[o0:o1], out=z)
-            k1 = np.count_nonzero(rng.random(r1) < t1) if r1 else 0
+            u = rng.random(n + r1)
+            np.less(u[:n], t_obs[o0:o1], out=z)
+            k1 = np.count_nonzero(u[n:] < t1)
             # censored labels of both components need no observed count
             if 0 < k1 < r1 or 0 < np.count_nonzero(z) + k1 < n + r1:
                 break

@@ -715,3 +715,64 @@ class TestTracedBenchmark:
         trace = json.loads(result.read_text())["trace"]
         assert trace["counts"]["ingest.bins"] == 5
         assert trace["calls"]["gamma_core.solve_shape"] >= 50
+
+
+class TestEntryPoint:
+    """The CLI as a process of its own, as a user runs it."""
+
+    @staticmethod
+    def _python(*args):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        # stdout to a pipe stays block-buffered, so it must survive exit
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import_freezes_heap(self):
+        proc = self._python("-c", (
+            "import gc\n"
+            "import chanest\n"
+            "print(gc.get_freeze_count())\n"
+            "import chanest.cli\n"
+            "print(len(gc.get_objects()), gc.get_freeze_count())\n"))
+        assert proc.returncode == 0, proc.stderr
+        library, command = proc.stdout.splitlines()
+        # the package alone leaves a library user's GC alone
+        assert int(library) == 0
+        tracked, frozen = map(int, command.split())
+        assert tracked * 10 < frozen
+
+    def test_outputs_match_in_process(self, tmp_path, scenario_config,
+                                      capsys):
+        runs = {}
+        for how in ("process", "in-process"):
+            d = tmp_path / how
+            d.mkdir()
+            packets, est = d / "packets.csv", d / "est.csv"
+            est_flags = ["--input", str(packets), "--c-db", "-109",
+                         "--iters", "20", "--burn", "5"]
+            commands = [
+                ["simulate", "--config", str(scenario_config),
+                 "--out", str(packets)],
+                ["estimate", *est_flags, "--out", str(est),
+                 "--trace", str(d / "trace.csv")],
+                ["compare", *est_flags, "--out", str(d / "cmp.csv")],
+                ["fit", "--input", str(est)]]
+            stdout = []
+            for argv in commands:
+                if how == "process":
+                    proc = self._python("-m", "chanest.cli", *argv)
+                    assert proc.returncode == 0, proc.stderr
+                    out = proc.stdout
+                else:
+                    assert main(argv) == 0
+                    out = capsys.readouterr().out
+                stdout.append(out)
+            runs[how] = ({name: (d / name).read_bytes() for name in (
+                "packets.csv", "packets.csv.truth.csv", "est.csv",
+                "trace.csv", "cmp.csv")}, stdout)
+        assert runs["process"] == runs["in-process"]
+        *quiet, line = runs["process"][1]
+        assert quiet == ["", "", ""]
+        a, b = line.removeprefix("A,B\n").removesuffix("\n").split(",")
+        assert line == f"A,B\n{float(a)!r},{float(b)!r}\n"
