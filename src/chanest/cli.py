@@ -83,13 +83,6 @@ def _threshold_db(text):
     return value
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text}")
-    return value
-
-
 def _seed(text):
     value = int(text)
     if value < 0:
@@ -133,8 +126,8 @@ def _estimation_flags(sp):
     sp.add_argument("--c-db", type=_threshold_db, required=True,
                     help="censoring threshold in dBm")
     sp.add_argument("--ld-step", type=_ld_step, default=0.5)
-    sp.add_argument("--iters", type=_positive_int, default=sem.iterations)
-    sp.add_argument("--burn", type=_positive_int, default=sem.burn_window,
+    sp.add_argument("--iters", type=int, default=sem.iterations)
+    sp.add_argument("--burn", type=int, default=sem.burn_window,
                     help="burn window, at most --iters")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--init-m1", type=_positive_float, default=None)
@@ -190,8 +183,7 @@ def _estimation_command(args, paths, write) -> int:
             # opened before fitting, so that an unwritable path fails fast
             outs = [path and stack.enter_context(open(path, "w", newline=""))
                     for path in paths]
-            config = semcm.SemConfig(args.iters, args.burn, args.digamma)
-            results = semcm.fit_bins(bins, config, args.seed, args.init_m1)
+            results = semcm.fit_bins(bins, args.sem, args.seed, args.init_m1)
             write([(bin_, res, "ok") if isinstance(res, semcm.SemTrace)
                    else (bin_, None, res.status)
                    for bin_, res in zip(bins, results)], *outs)
@@ -275,8 +267,11 @@ _COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate,
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("estimate", "compare") and args.burn > args.iters:
-        parser.error(f"--burn {args.burn} exceeds --iters {args.iters}")
+    if args.command in ("estimate", "compare"):
+        try:
+            args.sem = semcm.SemConfig(args.iters, args.burn, args.digamma)
+        except ValueError as exc:
+            parser.error(f"--iters {args.iters} --burn {args.burn}: {exc}")
     return _COMMANDS[args.command](args)
 
 

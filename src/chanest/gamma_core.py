@@ -1,24 +1,21 @@
-"""Gamma-family special functions, shape root solver and samplers.
+"""Gamma-family special functions, shape root solver and truncated sampler.
 
 Everything here works in the linear power domain (mW). Random draws take an
 explicit ``numpy.random.Generator`` so callers own reproducibility.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special
 
 from .errors import NumericalFailureError
-from .model import GammaParams
 
 EULER_GAMMA = 0.5772156649015329
 
 # Below this the truncated tail cannot be represented in double precision.
 TRUNCATION_MASS_FLOOR = 1e-300
 # Truncated masses at or above this are sampled by rejection, below it by
-# inverse CDF (see draw_truncated_gamma).
+# inverse CDF (see sample_truncated_gamma).
 REJECTION_MASS = 0.5
 TINY = np.finfo(float).tiny
 
@@ -92,17 +89,26 @@ def solve_shape(L, mode: str = "exact"):
     return float(out) if out.ndim == 0 else out
 
 
-def draw_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
-                         c: float, mass: float, size: int) -> np.ndarray:
+def sample_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
+                           size: int, c: float, mass: float) -> np.ndarray:
     """``size`` draws from Gamma(m, omega) conditioned on y <= c, given the
-    truncated mass P(m, c / omega) > 0; unvalidated, clipped into [tiny, c].
+    truncated mass P(m, c / omega); clipped into [tiny, c].
 
     With ``mass >= REJECTION_MASS`` it proposes from the untruncated Gamma
     in blocks sized from 1 / mass and keeps the first ``size`` proposals
     with y <= c, in draw order: at most 2 proposals per value on average,
     each far cheaper than one inverse CDF. Below that it takes the inverse
     CDF of ``size`` uniforms, whose cost does not grow as the mass shrinks.
+    Before any draw, a ``c`` that is not finite and > 0 raises ValueError
+    and a mass below ``TRUNCATION_MASS_FLOOR`` (or NaN) NumericalFailureError.
     """
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    if not mass >= TRUNCATION_MASS_FLOOR:
+        raise NumericalFailureError(
+            f"truncated mass {mass:.3g} is below {TRUNCATION_MASS_FLOOR}")
+    if not size:
+        return np.empty(0)
     if mass < REJECTION_MASS:
         y = omega * special.gammaincinv(m, rng.random(size) * mass)
         return np.maximum(np.minimum(y, c), TINY)
@@ -116,26 +122,3 @@ def draw_truncated_gamma(rng: np.random.Generator, m: float, omega: float,
         need -= y.size
     y = kept[0] if len(kept) == 1 else np.concatenate(kept)
     return np.maximum(y, TINY, out=y)
-
-
-def sample_truncated_gamma(p: GammaParams, c: float, rng: np.random.Generator,
-                           size=None):
-    """Draw from Gamma(m, omega) conditioned on y <= c, by rejection where
-    the truncated mass is at least ``REJECTION_MASS`` and by inverse CDF
-    below it (see ``draw_truncated_gamma``).
-
-    Rejection from the untruncated Gamma needs 1 / mass proposals per value,
-    so at low mass the inverse CDF, whose cost per value is fixed, is the
-    cheaper and bounded one.
-    """
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and > 0, got {c}")
-    mass = float(special.gammainc(p.m, c / p.omega))
-    if mass < TRUNCATION_MASS_FLOOR:
-        raise NumericalFailureError(
-            f"P(m={p.m}, c/omega={c / p.omega:.3g}) = {mass:.3g}: component "
-            "has no mass below the threshold")
-    shape = () if size is None else size
-    y = draw_truncated_gamma(rng, p.m, p.omega, c, mass,
-                             int(np.prod(shape))).reshape(shape)
-    return float(y) if y.ndim == 0 else y

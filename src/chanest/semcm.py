@@ -24,10 +24,7 @@ from scipy import special
 from . import baselines
 from .errors import (DegenerateFitError, InsufficientDataError,
                      NumericalFailureError)
-from .gamma_core import (DIGAMMA_MODES, TRUNCATION_MASS_FLOOR,
-                         draw_truncated_gamma, solve_shape)
-# not called here: bench/child.py traces the sampler under this module's name
-from .gamma_core import sample_truncated_gamma  # noqa: F401
+from .gamma_core import DIGAMMA_MODES, sample_truncated_gamma, solve_shape
 from .model import CensoredBin, GammaParams, MixtureParams, db_to_linear
 
 EMPTY_COMPONENT_RETRIES = 10
@@ -149,13 +146,13 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     labels draws random(n_obs + r1), the first n_obs doubles for the
     observed labels and the last r1 for the censored ones, k1 of which take
     component 1, and a bin left with an empty component draws again, up to
-    ``EMPTY_COMPONENT_RETRIES`` attempts in all. It then
-    imputes component 1's k1 censored values, then component 2's r1 - k1,
-    each by ``draw_truncated_gamma`` with the component's truncated mass
-    from ``e_step_censored``. Returns the completion and a dict from the
-    index of each bin that failed to the error that ends its chain. A
-    failed bin's labels are meaningless and its imputed values lie in
-    (0, c_lin].
+    ``EMPTY_COMPONENT_RETRIES`` attempts in all. It then imputes component
+    1's k1 censored values, then component 2's r1 - k1, each by
+    ``gamma_core.sample_truncated_gamma`` with the component's truncated
+    mass from ``e_step_censored``; a bin whose mass is too small for it
+    fails. Returns the completion and a dict from the index of each bin
+    that failed to the error that ends its chain. A failed bin's labels are
+    meaningless and its imputed values lie in (0, c_lin].
     """
     t_obs = e_step_observed(bins, phi)
     t_cens, mass = e_step_censored(bins, phi)
@@ -199,13 +196,14 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
         for j, (a, e) in enumerate(((c0, c0 + k1), (c0 + k1, c1))):
             if e == a:
                 continue
-            if masses[j] < TRUNCATION_MASS_FLOOR:
+            try:
+                y_cens[a:e] = sample_truncated_gamma(rng, m[j], omega[j],
+                                                     e - a, c, masses[j])
+            except NumericalFailureError:
                 failed[b] = NumericalFailureError(
                     f"bin ld={bins.ld[b]}: component {j + 1} has mass "
                     f"{masses[j]:.3g} below the threshold")
                 break
-            y_cens[a:e] = draw_truncated_gamma(rng, m[j], omega[j], c,
-                                               masses[j], e - a)
     return CompletedAssignment(z_obs, z_cens, y_cens), failed
 
 

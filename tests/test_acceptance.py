@@ -263,7 +263,9 @@ class TestCriterion8TruncatedSampler:
                 p = GammaParams(m, 2.0)
                 c = p.omega * special.gammaincinv(m, mass)
                 rng = np.random.default_rng([808, int(m), int(mass * 100)])
-                draws = sample_truncated_gamma(p, c, rng, 100_000)
+                draws = sample_truncated_gamma(
+                    rng, m, p.omega, 100_000, c,
+                    float(special.gammainc(m, c / p.omega)))
                 d, _ = stats.kstest(
                     draws,
                     lambda y: special.gammainc(m, np.asarray(y) / p.omega)

@@ -716,6 +716,31 @@ class TestTracedBenchmark:
         assert trace["counts"]["ingest.bins"] == 5
         assert trace["calls"]["gamma_core.solve_shape"] >= 50
 
+    def test_traced_sampler_draws(self, tmp_path):
+        # deep bins lose packets, so every S-step imputes each bin's r1
+        sc = Scenario(ld_start=30.0, ld_end=32.0, ld_step=0.5, n_per_bin=400,
+                      seed=12)
+        config = tmp_path / "scenario.json"
+        config.write_text(sc.to_json())
+        packets, est = _simulate(tmp_path, config), tmp_path / "est.csv"
+        result = tmp_path / "child.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "child.py"), "0", "1",
+             str(result), "--", "estimate", "--input", str(packets),
+             "--c-db", repr(sc.c_db), "--iters", "10", "--burn", "5",
+             "--out", str(est)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, statuses = read_estimates(est)
+        assert statuses == ["ok"] * 5
+        r1 = sum(bin_.r1 for bin_ in simulator.generate_scenario(sc))
+        assert r1 > 0
+        trace = json.loads(result.read_text())["trace"]
+        assert trace["counts"]["gamma_core.sample_truncated_gamma.draws"] \
+            == 10 * r1
+        assert trace["self_s"]["gamma_core.sample_truncated_gamma"] > 0
+
 
 class TestEntryPoint:
     """The CLI as a process of its own, as a user runs it."""

@@ -102,18 +102,25 @@ class TestSolveShape:
         assert batch.tolist() == [solve_shape(L, mode) for L in Ls]
 
 
+def _sample(p, c, rng, size):
+    """Draws of sample_truncated_gamma, given the truncated mass that its
+    caller computes."""
+    mass = float(special.gammainc(p.m, c / p.omega))
+    return sample_truncated_gamma(rng, p.m, p.omega, size, c, mass)
+
+
 class TestSampleTruncatedGamma:
     def test_no_truncation_limit(self):
         p = GammaParams(3.0, 1.0)
         c = 1e6  # P(m, c/omega) == 1 to double precision
-        draws = sample_truncated_gamma(p, c, np.random.default_rng(1), 50_000)
+        draws = _sample(p, c, np.random.default_rng(1), 50_000)
         d, _ = stats.kstest(draws, stats.gamma(a=3.0, scale=1.0).cdf)
         assert d < 0.02
 
     def test_support(self):
         p = GammaParams(7.0, 2.0)
         c = 10.0
-        draws = sample_truncated_gamma(p, c, np.random.default_rng(2), 100_000)
+        draws = _sample(p, c, np.random.default_rng(2), 100_000)
         assert np.all(draws <= c)
         assert np.all(draws > 0)
 
@@ -123,7 +130,7 @@ class TestSampleTruncatedGamma:
         p = GammaParams(m, 2.0)
         c = p.omega * special.gammaincinv(m, mass)
         rng = np.random.default_rng(hash((m, mass)) % 2 ** 31)
-        draws = sample_truncated_gamma(p, c, rng, 100_000)
+        draws = _sample(p, c, rng, 100_000)
 
         def trunc_cdf(y):
             return special.gammainc(m, np.asarray(y) / p.omega) / mass
@@ -131,12 +138,27 @@ class TestSampleTruncatedGamma:
         d, _ = stats.kstest(draws, trunc_cdf)
         assert d < 0.02
 
+    @pytest.mark.parametrize("c", [10.0, 0.5])  # rejection, inverse CDF
+    def test_zero_draws(self, c):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        draws = _sample(GammaParams(7.0, 1.0), c, rng, 0)
+        assert draws.shape == (0,) and draws.dtype == float
+        assert rng.bit_generator.state == state
+
     def test_underflow_raises(self):
         # a narrow m=35 component far above the threshold has no tail mass
         p = GammaParams(35.0, 1.0)
         with pytest.raises(NumericalFailureError):
-            sample_truncated_gamma(p, 1e-9, np.random.default_rng(3), 10)
-        # a threshold that is not finite and > 0 is no underflow
+            _sample(p, 1e-9, np.random.default_rng(3), 10)
+        with pytest.raises(NumericalFailureError):
+            sample_truncated_gamma(np.random.default_rng(3), 35.0, 1.0, 10,
+                                   1.0, math.nan)
+        # a threshold that is not finite and > 0 is no underflow, whatever
+        # the mass passed with it: no proposal is ever <= a NaN c
         for c in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="c must be finite and > 0"):
-                sample_truncated_gamma(p, c, np.random.default_rng(3), 10)
+                _sample(p, c, np.random.default_rng(3), 10)
+            with pytest.raises(ValueError, match="c must be finite and > 0"):
+                sample_truncated_gamma(np.random.default_rng(3), 35.0, 1.0,
+                                       10, c, 0.9)

@@ -190,8 +190,8 @@ class TestSStep:
             k1 = int(np.count_nonzero(rng.random(6) < t1[0]))
             if 0 < z_obs.sum() + k1 < 9:
                 break
-        y = [sample_truncated_gamma(GammaParams(phi.m[0, j], phi.omega[0, j]),
-                                    bin_.c_lin, rng, k)
+        y = [sample_truncated_gamma(rng, phi.m[0, j], phi.omega[0, j], k,
+                                    bin_.c_lin, mass[0, j])
              for j, k in ((0, k1), (1, 6 - k1)) if k]
         np.testing.assert_array_equal(out.z_obs, z_obs)
         assert out.z_cens.tolist() == [True] * k1 + [False] * (6 - k1)
