@@ -16,6 +16,9 @@ one.
 """
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,11 @@ from .model import CensoredBin, GammaParams, MixtureParams, db_to_linear
 EMPTY_COMPONENT_RETRIES = 10
 # lowest mixing weight the M-step stores for either component
 ALPHA_FLOOR = 0.02
+# fit_bins runs lane groups on threads only while each group holds at least
+# GROUP_MIN_SAMPLES samples (observed + censored) and the mean bin
+# BIN_MIN_SAMPLES: below either, Python work under the GIL outweighs overlap
+GROUP_MIN_SAMPLES = 1 << 16
+BIN_MIN_SAMPLES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -349,13 +357,23 @@ def init_heuristic(bin_: CensoredBin,
     return MixtureParams(alpha1=0.5, comp1=comp1, comp2=comp2)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def fit_bins(bins, config: SemConfig, seed: int,
              init_m1: float | None = None) -> list:
-    """Fit every bin in one ``run_semcm_batch``, bin b from
-    ``init_heuristic(bins[b], init_m1)`` with ``default_rng([seed, b])``.
-    Returns per bin its ``SemTrace`` or the ``InsufficientDataError``,
-    ``DegenerateFitError`` or ``NumericalFailureError`` that ended it (a
-    start that fails on equal samples or an overflowed mean is the last)."""
+    """Fit every bin, bin b from ``init_heuristic(bins[b], init_m1)`` with
+    ``default_rng([seed, b])``. Returns per bin its ``SemTrace`` or the
+    ``InsufficientDataError``, ``DegenerateFitError`` or
+    ``NumericalFailureError`` that ended it (a start that fails on equal
+    samples or an overflowed mean is the last). Bin i of those with a start
+    runs in lane group i mod k, one ``run_semcm_batch`` each, group 0 on
+    this thread and the others on pool threads in copies of this context
+    (so numpy's error state holds there): k is the CPU count, capped by the
+    bins and the ``*_MIN_SAMPLES`` floors. No result depends on k."""
     out, inits = [None] * len(bins), {}
     for b, bin_ in enumerate(bins):
         try:
@@ -364,9 +382,25 @@ def fit_bins(bins, config: SemConfig, seed: int,
             out[b] = exc
         except ValueError as exc:
             out[b] = NumericalFailureError(f"bin ld={bin_.ld}: {exc}")
-    traces = run_semcm_batch(
-        [bins[b] for b in inits], list(inits.values()), config,
-        [np.random.default_rng([seed, b]) for b in inits])
-    for b, trace in zip(inits, traces):
-        out[b] = trace
+    lanes = list(inits)
+    samples = sum(bins[b].n_total for b in lanes)
+    k = 1 if samples < BIN_MIN_SAMPLES * len(lanes) else max(1, min(
+        _cpu_count(), len(lanes), samples // GROUP_MIN_SAMPLES))
+    groups = [lanes[g::k] for g in range(k)]
+
+    def run(group):
+        return run_semcm_batch(
+            [bins[b] for b in group], [inits[b] for b in group], config,
+            [np.random.default_rng([seed, b]) for b in group])
+
+    if k == 1:
+        results = [run(lanes)]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(k - 1) as pool:
+            rest = [pool.submit(contextvars.copy_context().run, run, group)
+                    for group in groups[1:]]
+            results = [run(groups[0]), *(f.result() for f in rest)]
+    for group, traces in zip(groups, results):
+        for b, trace in zip(group, traces):
+            out[b] = trace
     return out

@@ -801,3 +801,39 @@ class TestEntryPoint:
         assert quiet == ["", "", ""]
         a, b = line.removeprefix("A,B\n").removesuffix("\n").split(",")
         assert line == f"A,B\n{float(a)!r},{float(b)!r}\n"
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity",
+                                    lambda pid: ())(0)) < 2,
+                        reason="needs 2 CPUs to split the SEM lane groups")
+    def test_outputs_match_on_one_cpu(self, tmp_path):
+        # 4 bins x 34 000 packets, partly censored: two lane groups where 2
+        # CPUs are free
+        sc = Scenario(ld_start=29.5, ld_end=31.0, ld_step=0.5,
+                      n_per_bin=34_000, seed=5)
+        assert 4 * sc.n_per_bin >= 2 * semcm.GROUP_MIN_SAMPLES
+        assert sc.n_per_bin >= semcm.BIN_MIN_SAMPLES
+        config, packets = tmp_path / "scenario.json", tmp_path / "packets.csv"
+        config.write_text(sc.to_json())
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(packets)]) == 0
+        one_cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        runs = {}
+        for cpus in ("one", "all"):
+            d = tmp_path / cpus
+            d.mkdir()
+            flags = ["--input", str(packets), "--c-db", repr(sc.c_db),
+                     "--iters", "20", "--burn", "5"]
+            for argv in (["estimate", *flags, "--out", str(d / "est.csv"),
+                          "--trace", str(d / "trace.csv")],
+                         ["compare", *flags, "--out", str(d / "cmp.csv")]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chanest.cli", *argv], env=env,
+                    capture_output=True, text=True, timeout=120,
+                    preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu}))
+                    if cpus == "one" else None)
+                assert proc.returncode == 0, proc.stderr
+            runs[cpus] = {name: (d / name).read_bytes()
+                          for name in ("est.csv", "trace.csv", "cmp.csv")}
+        assert runs["one"] == runs["all"]
+        assert read_estimates(tmp_path / "all" / "est.csv")[1] == ["ok"] * 4

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from chanest import semcm
 from chanest.errors import (DegenerateFitError, InsufficientDataError,
                             NumericalFailureError)
 from chanest.gamma_core import (REJECTION_MASS, digamma,
@@ -538,6 +541,115 @@ class TestFitBins:
         assert "bin ld=40.0" in str(out[2])
         ref = run_semcm(bins[0], inits[0], BATCH_CONFIG, _batch_rng(1))
         assert np.array_equal(out[1].iterates, ref.iterates)
+
+
+def _groups(monkeypatch, k):
+    """Let fit_bins split any batch into k lane groups; returns the list to
+    which every run_semcm_batch call appends (thread ident, bin lds)."""
+    monkeypatch.setattr(semcm, "_cpu_count", lambda: k)
+    monkeypatch.setattr(semcm, "GROUP_MIN_SAMPLES", 1)
+    monkeypatch.setattr(semcm, "BIN_MIN_SAMPLES", 1)
+    calls, batch = [], semcm.run_semcm_batch
+
+    def spy(bins, *args):
+        calls.append((threading.get_ident(), [b.ld for b in bins]))
+        return batch(bins, *args)
+    monkeypatch.setattr(semcm, "run_semcm_batch", spy)
+    return calls
+
+
+def _same_result(a, b):
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a.final == b.final and np.array_equal(a.iterates, b.iterates)
+
+
+class TestLaneGroups:
+    """fit_bins on k threads gives every bin the result of one group."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_matches_one_group(self, lone_runs, monkeypatch, k):
+        bins = lone_runs[0]
+        c_db = bins[0].c_db
+        # failed starts, too few samples and a chain that fails at its end
+        odd = [_uncensored_bin([2.0] * 4),
+               CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=c_db),
+               _uncensored_bin([0.9e308, 1.0e308, 1.1e308, 1.2e308]),
+               CensoredBin(ld=41.0, c_db=c_db, r1=0, observed=db_to_linear(
+                   np.array([3058.6, 3071.2, 3080.1])))]
+        # the last fails as in test_numerical_failure_leaves_others_alone,
+        # from the same generator
+        batch = [*bins[:3], odd[0], odd[1], *bins[3:7], odd[2], odd[3],
+                 *bins[7:]]
+        assert batch.index(odd[3]) == len(bins)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = fit_bins(batch, BATCH_CONFIG, BATCH_SEED)
+            calls = _groups(monkeypatch, k)
+            # threads switching as often as the interpreter lets them
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                out = fit_bins(batch, BATCH_CONFIG, BATCH_SEED)
+            finally:
+                sys.setswitchinterval(interval)
+        # the bins with a start, dealt round-robin: group 0 on the caller's
+        # thread, the others on pool threads
+        lanes = [b.ld for b in batch if all(b is not o for o in odd[:3])]
+        on_caller = [lds for ident, lds in calls
+                     if ident == threading.get_ident()]
+        assert on_caller == [lanes[::k]]
+        assert sorted(lds for _, lds in calls) \
+            == sorted(lanes[g::k] for g in range(k))
+        assert all(map(_same_result, out, one))
+        assert isinstance(one[len(bins)], NumericalFailureError)
+        assert "burn-window mean" in str(one[len(bins)])
+        assert sum(not isinstance(r, Exception) for r in out) == len(bins)
+
+    @pytest.mark.parametrize("batch", [
+        [],
+        [_uncensored_bin([2.0] * 4),
+         CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=-109.0)],
+    ], ids=["empty", "all-starts-fail"])
+    def test_no_lanes_start_no_thread(self, monkeypatch, batch):
+        one = fit_bins(batch, BATCH_CONFIG, BATCH_SEED)
+        calls = _groups(monkeypatch, 2)
+        monkeypatch.setattr(threading.Thread, "start", None)
+        out = fit_bins(batch, BATCH_CONFIG, BATCH_SEED)
+        assert calls == [(threading.get_ident(), [])]
+        assert len(out) == len(batch)
+        assert all(map(_same_result, out, one))
+
+    def test_caller_error_state_in_every_group(self, lone_runs,
+                                               monkeypatch):
+        calls, seen = _groups(monkeypatch, 2), []
+        spy = semcm.run_semcm_batch
+
+        def record(*args):
+            seen.append(np.geterr())
+            return spy(*args)
+        monkeypatch.setattr(semcm, "run_semcm_batch", record)
+        with np.errstate(over="raise", under="ignore"):
+            want = np.geterr()
+            fit_bins(lone_runs[0], BATCH_CONFIG, BATCH_SEED)
+        assert len(calls) == 2 and np.geterr() != want
+        assert seen == [want, want]
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "caller"])
+    def test_error_propagates_no_thread_leaks(self, lone_runs, monkeypatch,
+                                              worker):
+        _groups(monkeypatch, 3)
+        spy, main = semcm.run_semcm_batch, threading.get_ident()
+
+        def fail(*args):
+            if (threading.get_ident() != main) == worker:
+                raise RuntimeError("group failed")
+            return spy(*args)
+        monkeypatch.setattr(semcm, "run_semcm_batch", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="group failed"):
+            fit_bins(lone_runs[0], BATCH_CONFIG, BATCH_SEED)
+        assert threading.active_count() == before
 
 
 class TestInitHeuristic:
