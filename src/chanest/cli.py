@@ -167,8 +167,8 @@ def _estimation_command(args, paths, write) -> int:
     """Fit the binned log; hand ``write`` a ``(bin, trace | None, status)``
     row per bin, then an open file, or None, per entry of ``paths``."""
     try:
-        # undecodable bytes reach the parser, which reports their rows
-        with open(args.input, newline="", encoding="utf-8",
+        # utf-8-sig drops a leading BOM; the parser reports undecodable rows
+        with open(args.input, newline="", encoding="utf-8-sig",
                   errors="surrogateescape") as fh:
             log = ingest.parse_packet_log(fh)
         bins = ingest.bin_by_ld(np.concatenate(

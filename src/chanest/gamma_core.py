@@ -29,9 +29,11 @@ NEWTON_STEPS = 50
 SHAPE_TOL = 1e-12
 
 
-def _psi(x, mode: str):
-    # unvalidated digamma kernel; the asymptotic form is written in 1/x so
-    # that it neither overflows nor warns for huge x
+def digamma(x, mode: str = "exact"):
+    """Digamma, exact or (any other mode) the paper's 3-term approximation
+    log(x) - 1/(2x) - 1/(12x^2): the shape solver's kernel, unvalidated."""
+    # the asymptotic form is written in 1/x so that it neither overflows nor
+    # warns for huge x
     if mode == "exact":
         return special.digamma(x)
     r = 1.0 / x
@@ -43,18 +45,6 @@ def _psi_deriv(x, mode: str):
         return special.zeta(2.0, x)  # trigamma
     r = 1.0 / x
     return r * (1.0 + r * (0.5 + r / 6.0))
-
-
-def digamma(x, mode: str = "exact"):
-    """Digamma function, exact or the 3-term asymptotic approximation
-    log(x) - 1/(2x) - 1/(12x^2)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or np.any(~np.isfinite(x)):
-        raise ValueError("x must be finite and > 0")
-    if mode not in DIGAMMA_MODES:
-        raise ValueError(f"unknown digamma mode {mode!r}")
-    out = _psi(x, mode)
-    return float(out) if out.ndim == 0 else out
 
 
 def solve_shape(L, mode: str = "exact"):
@@ -79,7 +69,7 @@ def solve_shape(L, mode: str = "exact"):
     lane = np.flatnonzero(np.isfinite(m))
     for _ in range(NEWTON_STEPS):
         x, want = m[lane], target[lane]
-        f = _psi(x, mode) - want
+        f = digamma(x, mode) - want
         moving = np.abs(f) > SHAPE_TOL * np.maximum(1.0, np.abs(want))
         lane, x = lane[moving], x[moving]
         if not lane.size:

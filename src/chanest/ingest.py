@@ -60,8 +60,9 @@ def parse_packet_log(stream) -> np.ndarray:
     one above ``MAX_RSSI_DBM`` among them), duplicate seqs and seq gaps
     above ``MAX_SEQ_GAP`` are reported together with their line numbers.
     A field longer than the ``csv`` module's limit is a ParseError naming
-    its line. Open a file with ``errors="surrogateescape"`` so that bytes
-    which are not UTF-8 reach the parser and make their row malformed.
+    its line. Open a file as ``encoding="utf-8-sig"``, which drops a leading
+    byte-order mark, and ``errors="surrogateescape"``, so that bytes which
+    are not UTF-8 reach the parser and make their row malformed.
 
     The stream is read in blocks of whole lines. A block as
     ``write_packet_log`` writes it is parsed in bulk; another goes through
@@ -195,7 +196,7 @@ def infer_losses(log: np.ndarray) -> np.ndarray:
     known = log[np.argsort(log["seq"], kind="stable")]
     seq, dist = known["seq"], known["distance_m"]
     gap = np.diff(seq)
-    if np.any(gap > MAX_SEQ_GAP):
+    if np.any(gap.view(np.uint64) > MAX_SEQ_GAP):  # exact where int64 wraps
         raise ValueError(f"seq gap above MAX_SEQ_GAP={MAX_SEQ_GAP}")
     missing = gap - 1
     left = np.repeat(np.arange(gap.size), missing)

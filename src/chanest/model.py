@@ -57,7 +57,9 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class MixtureParams:
-    """Two-component Gamma mixture: comp1 = signal, comp2 = interference."""
+    """Two-component Gamma mixture, comp2 weighted 1 - alpha1. In a
+    scenario's truth comp1 is the signal and comp2 the interference; in an
+    SEM estimate comp1 is the component that started as comp1."""
 
     alpha1: float
     comp1: GammaParams
@@ -66,10 +68,6 @@ class MixtureParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha1 <= 1.0):
             raise ValueError(f"alpha1 must be in [0, 1], got {self.alpha1}")
-
-    @property
-    def alpha2(self) -> float:
-        return 1.0 - self.alpha1
 
     def row(self) -> tuple:
         """The parameters in ``PARAM_FIELDS`` order."""

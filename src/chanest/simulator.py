@@ -131,15 +131,6 @@ def generate_scenario(sc: Scenario) -> list[CensoredBin]:
     return bin_by_ld(packet_rows(sc), sc.ld_step, sc.c_db)
 
 
-def censoring_probability(ld: float, sc: Scenario) -> float:
-    """Analytic P(sample below threshold) for one bin."""
-    from scipy.special import gammainc  # only this oracle needs scipy here
-    c = db_to_linear(sc.c_db)
-    phi = true_params_at(ld, sc)
-    return (phi.alpha1 * gammainc(phi.comp1.m, c / phi.comp1.omega)
-            + phi.alpha2 * gammainc(phi.comp2.m, c / phi.comp2.omega))
-
-
 def packet_rows(sc: Scenario) -> np.ndarray:
     """The packet log of a scenario, one ``LOG_DTYPE`` row per transmitted
     packet; bin b draws from ``default_rng([sc.seed, b])``, and a packet

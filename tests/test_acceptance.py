@@ -12,12 +12,11 @@ from chanest.baselines import lse_line_fit, mb_shape, ml_minus_shape
 from chanest.gamma_core import (EULER_GAMMA, digamma, sample_truncated_gamma,
                                 solve_shape)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
-                           MixtureParams, linear_to_db)
+                           MixtureParams, db_to_linear, linear_to_db)
 from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
                            e_step_censored, e_step_observed, init_heuristic,
                            run_semcm)
-from chanest.simulator import (Scenario, censoring_probability,
-                               generate_scenario, true_params_at)
+from chanest.simulator import Scenario, generate_scenario, true_params_at
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -112,8 +111,13 @@ class TestCriterion3LossFractionFidelity:
         ok = True
         worst_emp = worst_true = 0.0
         for sc, bins, _ in runs:
+            c = db_to_linear(sc.c_db)
             for bin_ in bins:
-                p = censoring_probability(bin_.ld, sc)
+                phi = true_params_at(bin_.ld, sc)
+                p = (phi.alpha1
+                     * special.gammainc(phi.comp1.m, c / phi.comp1.omega)
+                     + (1.0 - phi.alpha1)
+                     * special.gammainc(phi.comp2.m, c / phi.comp2.omega))
                 pval = stats.binomtest(bin_.r1, sc.n_per_bin, p).pvalue
                 if pval < 0.0027:
                     ok = False

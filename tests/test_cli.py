@@ -177,6 +177,20 @@ class TestEstimate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, scenario_config):
+        # a spreadsheet's "CSV UTF-8" export starts with a BOM
+        packets = _simulate(tmp_path, scenario_config)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + packets.read_bytes())
+        outs = []
+        for log in (packets, marked):
+            out = tmp_path / f"{log.stem}.est.csv"
+            rc = main(["estimate", "--input", str(log), "--c-db", "-109",
+                       "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_matches_library(self, tmp_path):
         # two of the seven bins have fewer than 2 received packets
         sc = Scenario(ld_start=29.0, ld_end=32.0, n_per_bin=5, c_db=-100.0,

@@ -42,11 +42,16 @@ class TestDigamma:
         assert abs(approx - digamma(1.0)) == pytest.approx(
             0.0061176684318, abs=1e-10)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(1.0, mode="bogus")
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(1e-3, 1e300))
+    @example(x=1e-3)
+    @example(x=86.0)  # the tightest point of a log-spaced sweep
+    def test_paper_approx_within_first_omitted_term(self, x):
+        # for x > 0 the asymptotic series' remainder is bounded by its first
+        # omitted term, 1/(120 x^4)
+        exact = digamma(x)
+        bound = (1.0 / x) ** 4 / 120.0 + 1e-15 * max(1.0, abs(exact))
+        assert abs(digamma(x, "paper") - exact) <= bound
 
 
 class TestSolveShape:

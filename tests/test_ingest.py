@@ -315,7 +315,7 @@ class TestBulkParse:
         assert path.stat().st_size > 3 * ingest.BLOCK_CHARS
 
         def parse():  # as the CLI opens its --input
-            with open(path, newline="", encoding="utf-8",
+            with open(path, newline="", encoding="utf-8-sig",
                       errors="surrogateescape") as fh:
                 return _outcome(fh)
 
@@ -450,6 +450,17 @@ class TestInferLosses:
         with pytest.raises(ValueError):
             infer_losses(_log([(1, 100.0, -90.0),
                                (2 + MAX_SEQ_GAP, 100.0, -90.0)]))
+        # the largest step allowed
+        assert infer_losses(_log([(1, 100.0, -90.0),
+                                  (1 + MAX_SEQ_GAP, 100.0, -90.0)])).size \
+            == MAX_SEQ_GAP - 1
+
+    @pytest.mark.parametrize("seqs", [(-9, 2**63 - 9), (-2**63, 2**63 - 1)])
+    def test_gap_guard_on_wrapped_step(self, seqs):
+        # steps of 2**63 and 2**64 - 1 wrap in int64; measured as the
+        # parser measures them, both are too large
+        with pytest.raises(ValueError, match="MAX_SEQ_GAP=10000"):
+            infer_losses(_log([(s, 100.0, -90.0) for s in seqs]))
 
 
 class TestBinByLd:

@@ -36,9 +36,6 @@ def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
 
 
 class TestMixtureParams:
-    def test_alpha2_complement(self):
-        assert _phi(alpha1=0.3).alpha2 == pytest.approx(0.7)
-
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             _phi(alpha1=1.5)

@@ -114,7 +114,7 @@ class TestEStepCensored:
         c = bins.c_lin[0]
         i1, _ = integrate.quad(lambda y: _density(y, phi.comp1), 0, c)
         i2, _ = integrate.quad(lambda y: _density(y, phi.comp2), 0, c)
-        want = phi.alpha1 * i1 / (phi.alpha1 * i1 + phi.alpha2 * i2)
+        want = phi.alpha1 * i1 / (phi.alpha1 * i1 + (1.0 - phi.alpha1) * i2)
         t1, mass = e_step_censored(bins, _one(phi))
         assert t1[0] == pytest.approx(want, abs=1e-10)
         # the masses are the per-component integrals below the threshold

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
 from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
                             parse_packet_log, write_packet_log)
-from chanest.model import linear_to_db
-from chanest.simulator import (MAX_PACKETS, Scenario, censoring_probability,
-                               generate_scenario, packet_rows, true_params_at)
+from chanest.model import db_to_linear, linear_to_db
+from chanest.simulator import (MAX_PACKETS, Scenario, generate_scenario,
+                               packet_rows, true_params_at)
 
 
 class TestScenario:
@@ -121,8 +122,12 @@ class TestGenerateScenario:
     def test_analytic_censoring_probability(self):
         sc = Scenario(seed=5)
         bins = generate_scenario(sc)
-        for b, bin_ in enumerate(bins):
-            p = censoring_probability(bin_.ld, sc)
+        c = db_to_linear(sc.c_db)
+        for bin_ in bins:
+            phi = true_params_at(bin_.ld, sc)
+            p = (phi.alpha1 * gammainc(phi.comp1.m, c / phi.comp1.omega)
+                 + (1.0 - phi.alpha1)
+                 * gammainc(phi.comp2.m, c / phi.comp2.omega))
             sigma = math.sqrt(sc.n_per_bin * p * (1 - p))
             assert abs(bin_.r1 - sc.n_per_bin * p) <= 3 * sigma + 1e-9
 
