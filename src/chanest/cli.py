@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import gc
 import math
+import os
 import sys
 
 import numpy as np
@@ -210,13 +211,14 @@ def _write_comparison(results, out):
     w = csv.writer(out)
     w.writerow(["ld", "sem_m1", "ml_m", "mb_m", "loss_fraction", "status"])
     for bin_, trace, status in results:
-        try:
-            ml = repr(baselines.ml_minus_shape(bin_.observed))
-            mb = repr(baselines.mb_shape(bin_.observed))
-        except ValueError:
-            ml = mb = ""
+        shapes = []  # each baseline's own, empty only where it raises
+        for shape in (baselines.ml_minus_shape, baselines.mb_shape):
+            try:
+                shapes.append(repr(shape(bin_.observed)))
+            except ValueError:
+                shapes.append("")
         sem_m1 = "" if trace is None else repr(trace.final.comp1.m)
-        w.writerow([repr(bin_.ld), sem_m1, ml, mb, repr(bin_.loss_fraction),
+        w.writerow([repr(bin_.ld), sem_m1, *shapes, repr(bin_.loss_fraction),
                     status])
 
 
@@ -272,6 +274,10 @@ def main(argv=None) -> int:
             args.sem = semcm.SemConfig(args.iters, args.burn, args.digamma)
         except ValueError as exc:
             parser.error(f"--iters {args.iters} --burn {args.burn}: {exc}")
+    # refused before any file is opened: both handles would truncate it
+    if args.command == "estimate" and args.trace \
+            and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        parser.error(f"--trace and --out name the same file: {args.out}")
     return _COMMANDS[args.command](args)
 
 

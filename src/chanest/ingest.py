@@ -190,13 +190,17 @@ def _row_loop(lines, read: int, header_ok: bool):
 def infer_losses(log: np.ndarray) -> np.ndarray:
     """The rows missing between consecutive sequence numbers, in seq order,
     at distances interpolated between the packets around each gap. Losses
-    before the first or after the last sequence number cannot be seen."""
+    before the first or after the last sequence number cannot be seen. A
+    duplicate seq or a gap above MAX_SEQ_GAP raises ValueError."""
     if not log.size:
         raise ValueError("need at least one packet")
     known = log[np.argsort(log["seq"], kind="stable")]
     seq, dist = known["seq"], known["distance_m"]
     gap = np.diff(seq)
-    if np.any(gap.view(np.uint64) > MAX_SEQ_GAP):  # exact where int64 wraps
+    step = gap.view(np.uint64)  # the parser's step: exact where int64 wraps
+    if np.any(step == 0):
+        raise ValueError("duplicate seq: a packet log's seqs must differ")
+    if np.any(step > MAX_SEQ_GAP):
         raise ValueError(f"seq gap above MAX_SEQ_GAP={MAX_SEQ_GAP}")
     missing = gap - 1
     left = np.repeat(np.arange(gap.size), missing)
@@ -216,23 +220,23 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     of width ld_step.
 
     A row counts as received when its ``db_to_linear`` power is above
-    ``db_to_linear(c_db)``, the comparison ``CensoredBin`` makes; any other
-    row, a power that rounds onto the threshold among them, counts as
-    censored, matching the left-censoring model. Bin 'ld' is the lower edge
-    of the cell. Each bin's observed samples stay in log order.
+    ``c_lin = db_to_linear(c_db)``, which every bin gets as its threshold;
+    any other row, a power that rounds onto the threshold among them,
+    counts as censored, matching the left-censoring model. Bin 'ld' is the
+    lower edge of the cell. Each bin's observed samples stay in log order.
     """
     if ld_step <= 0:
         raise ValueError("ld_step must be > 0")
     cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
     order = np.argsort(cell, kind="stable")
     cell, rssi = cell[order], log["rssi_dbm"][order]
-    power = db_to_linear(rssi)
-    received = power > db_to_linear(c_db)  # False for a lost (NaN) row
+    power, c_lin = db_to_linear(rssi), db_to_linear(c_db)
+    received = power > c_lin  # False for a lost (NaN) row
     keys, first = np.unique(cell, return_index=True)
     bins = []
     for i, p, ok in zip(keys.tolist(), np.split(power, first[1:]),
                         np.split(received, first[1:])):
         obs = p[ok]
         bins.append(CensoredBin(ld=int(i) * ld_step, observed=obs,
-                                r1=p.size - obs.size, c_db=c_db))
+                                r1=p.size - obs.size, c_lin=c_lin))
     return bins

@@ -84,17 +84,17 @@ class MixtureParams:
 class CensoredBin:
     """One distance bin: received linear powers plus the censored count.
 
-    ``observed`` holds only received samples, all strictly above the linear
-    threshold; ``r1`` packets were lost. A bin that is not so, or whose
-    ``observed`` is not a 1-D array of finite powers, ``r1`` not an integer
-    (never a bool), ``ld`` not finite or linear threshold not finite and
-    > 0, raises ValueError.
+    ``observed`` holds only received samples, all strictly above the
+    threshold ``c_lin`` (mW); ``r1`` packets were lost. A bin that is not
+    so, or whose ``observed`` is not a 1-D array of finite powers, ``r1``
+    not an integer (never a bool), ``ld`` not finite or ``c_lin`` not
+    finite and > 0, raises ValueError.
     """
 
     ld: float
     observed: np.ndarray
     r1: int
-    c_db: float
+    c_lin: float
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=float)
@@ -108,18 +108,12 @@ class CensoredBin:
             raise ValueError(f"r1 must be >= 0, got {self.r1}")
         if not math.isfinite(self.ld):
             raise ValueError(f"ld must be finite, got {self.ld!r}")
-        with np.errstate(over="ignore"):
-            c_lin = self.c_lin
-        if not 0.0 < c_lin < math.inf:
-            raise ValueError("c_db must give a linear threshold finite and "
-                             f"> 0, got c_db={self.c_db!r}")
-        if np.any(obs <= c_lin):
+        if not 0.0 < self.c_lin < math.inf:
+            raise ValueError("c_lin must be finite and > 0, got "
+                             f"{self.c_lin!r}")
+        if np.any(obs <= self.c_lin):
             raise ValueError("observed samples must be strictly above the "
                              "censoring threshold")
-
-    @property
-    def c_lin(self) -> float:
-        return db_to_linear(self.c_db)
 
     @property
     def n_total(self) -> int:

@@ -102,18 +102,6 @@ class MixtureBatch:
         return cls(np.array([p.row() for p in params], float).reshape(-1, 5))
 
 
-@dataclass(frozen=True)
-class CompletedAssignment:
-    """One stochastic completion of a batch: labels (True = component 1) of
-    the observed samples, in ``BinBatch.x`` order, and of the imputed
-    censored values. Bin b's censored samples are the next ``r1[b]``
-    entries of ``z_cens`` and ``y_cens``."""
-
-    z_obs: np.ndarray
-    z_cens: np.ndarray
-    y_cens: np.ndarray
-
-
 def e_step_observed(bins: BinBatch, phi: MixtureBatch) -> np.ndarray:
     """P(component 1 | received sample) for every sample of the batch; NaN
     where both weighted component densities underflow or a term overflows.
@@ -158,9 +146,11 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     1's k1 censored values, then component 2's r1 - k1, each by
     ``gamma_core.sample_truncated_gamma`` with the component's truncated
     mass from ``e_step_censored``; a bin whose mass is too small for it
-    fails. Returns the completion and a dict from the index of each bin
-    that failed to the error that ends its chain. A failed bin's labels are
-    meaningless and its imputed values lie in (0, c_lin].
+    fails. Returns ``(z_obs, z_cens, y_cens)``: the labels (True =
+    component 1) of the observed samples, then the labels and imputed
+    values of the censored ones, r1[b] for bin b in bin order; and a dict
+    from each bin that failed to the error that ends its chain. A failed
+    bin's labels are meaningless and its imputed values lie in (0, c_lin].
     """
     t_obs = e_step_observed(bins, phi)
     t_cens, mass = e_step_censored(bins, phi)
@@ -212,12 +202,12 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
                     f"bin ld={bins.ld[b]}: component {j + 1} has mass "
                     f"{masses[j]:.3g} below the threshold")
                 break
-    return CompletedAssignment(z_obs, z_cens, y_cens), failed
+    return (z_obs, z_cens, y_cens), failed
 
 
-def m_step(bins: BinBatch, completed: CompletedAssignment,
-           phi_prev: MixtureBatch, config: SemConfig) -> MixtureBatch:
-    """Update (alpha, omega, m) of every bin from its completed sample.
+def m_step(bins: BinBatch, completed, phi_prev: MixtureBatch,
+           config: SemConfig) -> MixtureBatch:
+    """Update (alpha, omega, m) of every bin from the completion of s_step.
 
     Scales use the previous shapes (omega_i = omega_im / m_i^prev); the new
     shapes then solve digamma(m) = weighted mean of ln(x / omega_i^new), in
@@ -227,10 +217,11 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
     undefined gets a NaN shape, and one without samples a NaN scale too; a
     component's update reads no other component.
     """
+    z_obs, z_cens, y_cens = completed
     n = bins.n_obs.size
     # sums per (bin, component) over key 2 * bin + (0 for component 1)
-    key_obs = 2 * bins.owner + ~completed.z_obs
-    key_cens = 2 * np.repeat(np.arange(n), bins.r1) + ~completed.z_cens
+    key_obs = 2 * bins.owner + ~z_obs
+    key_cens = 2 * np.repeat(np.arange(n), bins.r1) + ~z_cens
 
     def per_component(w_obs, w_cens):
         return (np.bincount(key_obs, w_obs, 2 * n)
@@ -238,8 +229,8 @@ def m_step(bins: BinBatch, completed: CompletedAssignment,
 
     counts = per_component(None, None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        omega = per_component(bins.x, completed.y_cens) / counts / phi_prev.m
-        log_mean = per_component(bins.lnx, np.log(completed.y_cens)) / counts \
+        omega = per_component(bins.x, y_cens) / counts / phi_prev.m
+        log_mean = per_component(bins.lnx, np.log(y_cens)) / counts \
             - np.log(omega)
         # NaN for a bin without samples, which has failed already
         alpha1 = np.clip(counts[:, 0] / (bins.n_obs + bins.r1), ALPHA_FLOOR,

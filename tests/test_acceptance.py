@@ -143,7 +143,7 @@ class TestCriterion4SemMatchesMlWithoutInterference:
             obs = y[y > c]
             assert obs.size >= 500
             bin_ = CensoredBin(ld=30.0, observed=obs, r1=n - obs.size,
-                               c_db=linear_to_db(c))
+                               c_lin=c)
             trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(), rng)
             ml = ml_minus_shape(obs)
             diffs.append(abs(trace.final.comp1.m - ml) / ml)
@@ -206,16 +206,14 @@ class TestCriterion6EStepOracle:
             w2 = mp.mpf(1 - a1) * mp.e ** mp_logpdf(x, m2, om2)
             want = float(w1 / (w1 + w2))
             received = BinBatch.of([CensoredBin(ld=0.0, observed=[x], r1=0,
-                                                c_db=-300.0)])
+                                                c_lin=db_to_linear(-300.0))])
             worst_o = max(worst_o,
                           abs(e_step_observed(received, phi)[0] - want))
 
-            # an arbitrary positive threshold, as the linear value of a bin's
-            # dB threshold
-            censored = BinBatch.of([CensoredBin(
-                ld=0.0, observed=[], r1=1,
-                c_db=linear_to_db(float(rng.gamma(m1, om1))))])
-            c = float(censored.c_lin[0])
+            # an arbitrary positive threshold
+            c = float(rng.gamma(m1, om1))
+            censored = BinBatch.of([CensoredBin(ld=0.0, observed=[], r1=1,
+                                                c_lin=c)])
             g1 = mp.mpf(a1) * mp.gammainc(mp.mpf(m1), 0, mp.mpf(c / om1),
                                           regularized=True)
             g2 = mp.mpf(1 - a1) * mp.gammainc(mp.mpf(m2), 0, mp.mpf(c / om2),
@@ -233,13 +231,12 @@ class TestCriterion6EStepOracle:
 
 class TestCriterion7MStepStationarity:
     def test_single_component_fixed_point(self):
-        from chanest.semcm import CompletedAssignment, m_step
+        from chanest.semcm import m_step
         rng = np.random.default_rng(707)
         x = rng.gamma(7.0, 2.0, 500)
         bins = BinBatch.of([CensoredBin(ld=25.0, observed=x, r1=0,
-                                        c_db=-300.0)])
-        completed = CompletedAssignment(np.ones(x.size, bool),
-                                        np.empty(0, bool), np.empty(0))
+                                        c_lin=db_to_linear(-300.0))])
+        completed = (np.ones(x.size, bool), np.empty(0, bool), np.empty(0))
         phi = MixtureBatch.of([MixtureParams(1.0, GammaParams(3.0, 1.0),
                                              GammaParams(1.0, 1.0))])
         cfg = SemConfig()

@@ -541,6 +541,18 @@ class TestCompare:
             row = next(csv.DictReader(fh))
         assert math.isfinite(float(row["mb_m"]))
 
+    def test_each_baseline_on_its_own(self, tmp_path):
+        # two powers an ulp apart: ml_minus_shape reads a huge shape and
+        # mb_shape raises on zero variance, which empties its field only
+        packets, out = tmp_path / "p.csv", tmp_path / "cmp.csv"
+        packets.write_text("seq,distance_m,rssi_dbm\n1,200,-83.66107178320007"
+                           "\n2,200,-83.66107178320006\n")
+        rc = main(["compare", "--input", str(packets), "--c-db", "-109",
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1] \
+            == "23.0,,140737488355328.16,,0.0,numerical-failure"
+
 
 class TestFit:
     def test_composition_recovers_line(self, tmp_path):
@@ -691,6 +703,21 @@ class TestUsage:
                   "--out", str(tmp_path / "o.csv"), *flags])
         assert err.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trace", ["o.csv", "sub/../o.csv", "link.csv"])
+    def test_trace_naming_out(self, tmp_path, capsys, monkeypatch, trace):
+        # refused before any file is opened: --out keeps its bytes
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"kept\r\n")
+        (tmp_path / "link.csv").symlink_to(out)
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--input", "p.csv", "--c-db", "-109",
+                  "--out", str(out), "--trace", trace])
+        assert err.value.code == 1
+        assert "--trace and --out name the same file" \
+            in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\r\n"
 
     def test_rejected_simulate_seed(self, tmp_path, scenario_config):
         with pytest.raises(SystemExit) as err:

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chanest import ingest
 from chanest.errors import ParseError
 from chanest.ingest import (LOG_DTYPE, MAX_RSSI_DBM, MAX_SEQ_GAP, bin_by_ld,
                             infer_losses, parse_packet_log, write_packet_log)
+from chanest.model import db_to_linear
 from chanest.simulator import Scenario, packet_rows
 
 
@@ -462,8 +463,48 @@ class TestInferLosses:
         with pytest.raises(ValueError, match="MAX_SEQ_GAP=10000"):
             infer_losses(_log([(s, 100.0, -90.0) for s in seqs]))
 
+    @pytest.mark.parametrize("seqs", [[1, 1, 3], [3, 1, 1, 2], [1, 1]])
+    def test_duplicate_seq(self, seqs):
+        # a sorted step of 0, as the parser measures it
+        with pytest.raises(ValueError, match="duplicate seq"):
+            infer_losses(_log([(s, 100.0, -90.0) for s in seqs]))
+
+
+class TestOneSeqRule:
+    """The parser and infer_losses accept and refuse the same seqs."""
+
+    @staticmethod
+    def _parse_written(log):
+        out = io.StringIO()
+        write_packet_log(out, log)
+        return parse_packet_log(io.StringIO(out.getvalue()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(log=_logs(), data=st.data())
+    def test_duplicate_seq(self, log, data):
+        assert self._parse_written(log).size == log.size
+        infer_losses(log)
+        assume(log.size >= 2)
+        i, j = data.draw(st.lists(st.integers(0, log.size - 1), min_size=2,
+                                  max_size=2, unique=True))
+        dup = log.copy()
+        dup["seq"][j] = dup["seq"][i]
+        with pytest.raises(ParseError) as err:
+            self._parse_written(dup)
+        # row k is on line k + 2; a gap left by row j's old seq adds lines
+        assert {i + 2, j + 2} <= set(err.value.lines)
+        with pytest.raises(ValueError, match="duplicate seq"):
+            infer_losses(dup)
+
 
 class TestBinByLd:
+    def test_every_bin_gets_the_threshold_it_split_at(self):
+        c_db = -109.3
+        bins = bin_by_ld(packet_rows(Scenario(n_per_bin=20, seed=3)), 0.5,
+                         c_db)
+        assert len(bins) > 1
+        assert all(b.c_lin == db_to_linear(c_db) for b in bins)
+
     def test_bin_assignment(self):
         bins = bin_by_ld(_log([(1, 1000.0, -90.0)]), 0.5, -109.0)  # ld = 30
         assert len(bins) == 1

@@ -67,24 +67,37 @@ class TestMixtureMeanDb:
 
 class TestCensoredBin:
     def test_counts(self):
-        b = CensoredBin(ld=23.0, observed=[1e-9, 2e-9], r1=3, c_db=-100.0)
-        # the packet count is derived, not stored
+        b = CensoredBin(ld=23.0, observed=[1e-9, 2e-9], r1=3,
+                        c_lin=db_to_linear(-100.0))
+        # the packet count is derived, not stored; the threshold is mW only
         assert [f.name for f in dataclasses.fields(b)] == \
-            ["ld", "observed", "r1", "c_db"]
+            ["ld", "observed", "r1", "c_lin"]
+        assert not hasattr(b, "c_db")
         assert b.n_total == 5
         assert b.loss_fraction == pytest.approx(0.6)
         assert b.c_lin == pytest.approx(1e-10)
         # any integer type counts
         assert CensoredBin(ld=23.0, observed=[1e-9], r1=np.int64(2),
-                           c_db=-100.0).n_total == 3
+                           c_lin=db_to_linear(-100.0)).n_total == 3
+
+    def test_linear_threshold_kept_exactly(self):
+        # a threshold that a dB round trip moves above the bin's lowest
+        # sample: given in mW, the bin keeps it as it is
+        c = 1.4720680151594818e-13
+        assert db_to_linear(linear_to_db(c)) > np.nextafter(c, np.inf)
+        b = CensoredBin(ld=25.0, observed=[np.nextafter(c, np.inf), 2 * c],
+                        r1=1, c_lin=c)
+        assert b.c_lin == c
 
     def test_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError, match="r1 must be >= 0"):
-            CensoredBin(ld=23.0, observed=[1e-9], r1=-1, c_db=-100.0)
+            CensoredBin(ld=23.0, observed=[1e-9], r1=-1,
+                        c_lin=db_to_linear(-100.0))
 
     def test_rejects_sample_at_or_below_threshold(self):
         with pytest.raises(ValueError):
-            CensoredBin(ld=23.0, observed=[1e-10], r1=0, c_db=-100.0)
+            CensoredBin(ld=23.0, observed=[1e-10], r1=0,
+                        c_lin=db_to_linear(-100.0))
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"observed": [1e-9, np.nan]}, "finite powers"),
@@ -94,15 +107,15 @@ class TestCensoredBin:
         ({"r1": True}, "r1 must be an integer, got True"),
         ({"ld": np.nan}, "ld must be finite"),
         ({"ld": -np.inf}, "ld must be finite"),
-        ({"c_db": np.nan}, "linear threshold finite and > 0, got c_db=nan"),
-        # a linear threshold of 0 (underflow) and inf (overflow)
-        ({"c_db": -4000.0}, "linear threshold"),
-        ({"c_db": 4000.0}, "linear threshold"),
+        ({"c_lin": np.nan}, "c_lin must be finite and > 0, got nan"),
+        ({"c_lin": 0.0}, "c_lin must be finite and > 0, got 0.0"),
+        ({"c_lin": np.inf}, "c_lin must be finite and > 0, got inf"),
     ], ids=["nan-observed", "inf-observed", "2d-observed", "fractional-r1",
-            "bool-r1", "nan-ld", "inf-ld", "nan-c_db", "zero-threshold",
+            "bool-r1", "nan-ld", "inf-ld", "nan-c_lin", "zero-threshold",
             "inf-threshold"])
     def test_rejects_bad_values(self, kwargs, match):
-        bin_ = dict(ld=23.0, observed=[1e-9, 2e-9], r1=3, c_db=-100.0)
+        bin_ = dict(ld=23.0, observed=[1e-9, 2e-9], r1=3,
+                    c_lin=db_to_linear(-100.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warning fails too
             with pytest.raises(ValueError, match=match):

@@ -16,9 +16,9 @@ from chanest.gamma_core import (REJECTION_MASS, digamma,
                                 sample_truncated_gamma)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
                            MixtureParams, db_to_linear, linear_to_db)
-from chanest.semcm import (BinBatch, CompletedAssignment, MixtureBatch,
-                           SemConfig, e_step_censored, e_step_observed,
-                           fit_bins, init_heuristic, m_step, run_semcm,
+from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
+                           e_step_censored, e_step_observed, fit_bins,
+                           init_heuristic, m_step, run_semcm,
                            run_semcm_batch, s_step)
 from chanest.simulator import Scenario, generate_scenario, true_params_at
 
@@ -27,9 +27,9 @@ def _phi(alpha1=0.5, m1=7.0, om1=2.0, m2=1.0, om2=5.0):
     return MixtureParams(alpha1, GammaParams(m1, om1), GammaParams(m2, om2))
 
 
-def _uncensored_bin(samples, c_db=-300.0):
+def _uncensored_bin(samples, c_lin=db_to_linear(-300.0)):
     samples = np.asarray(samples, dtype=float)
-    return CensoredBin(ld=25.0, observed=samples, r1=0, c_db=c_db)
+    return CensoredBin(ld=25.0, observed=samples, r1=0, c_lin=c_lin)
 
 
 def _batch(samples):
@@ -91,7 +91,7 @@ class TestEStepObserved:
 def _censored_batch(c_db):
     c = 10 ** (c_db / 10)
     return BinBatch.of([CensoredBin(ld=25.0, observed=[2 * c, 3 * c],
-                                    r1=1, c_db=c_db)])
+                                    r1=1, c_lin=db_to_linear(c_db))])
 
 
 class TestEStepCensored:
@@ -123,7 +123,7 @@ class TestEStepCensored:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             BinBatch.of([CensoredBin(ld=25.0, observed=[1.0, 2.0], r1=1,
-                                     c_db=-math.inf)])
+                                     c_lin=db_to_linear(-math.inf))])
 
 
 class TestSStep:
@@ -131,45 +131,48 @@ class TestSStep:
         bins = _batch([1.0, 2.0, 3.0])
         out, failed = s_step(bins, _one(_phi(alpha1=1.0)),
                              [np.random.default_rng(0)])
-        assert np.all(out.z_obs)
-        assert out.y_cens.size == 0
+        z_obs, z_cens, y_cens = out
+        assert np.all(z_obs)
+        assert y_cens.size == 0
         # component 2 can never get a sample: every redraw is used up
         assert isinstance(failed[0], DegenerateFitError)
 
     def test_no_imputations_without_censoring(self):
         out, _ = s_step(_batch([1.0, 2.0]), _one(_phi()),
                         [np.random.default_rng(0)])
-        assert out.z_cens.size == 0 and out.y_cens.size == 0
+        z_obs, z_cens, y_cens = out
+        assert z_cens.size == 0 and y_cens.size == 0
 
     def test_label_frequencies(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=10_000,
-                           c_db=linear_to_db(0.5))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=10_000, c_lin=0.5)
         phi = _one(_phi())
         bins = BinBatch.of([bin_])
         t1 = e_step_censored(bins, phi)[0][0]
         rng = np.random.default_rng(11)
         out, _ = s_step(bins, phi, [rng])
-        k = int(out.z_cens.sum())
+        z_obs, z_cens, y_cens = out
+        k = int(z_cens.sum())
         sigma = math.sqrt(10_000 * t1 * (1 - t1))
         assert abs(k - 10_000 * t1) < 3 * sigma
 
     def test_imputed_values_below_threshold(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=100,
-                           c_db=linear_to_db(0.5))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=100, c_lin=0.5)
         out, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
                         [np.random.default_rng(12)])
-        assert np.all(out.y_cens <= bin_.c_lin)
-        assert np.all(out.y_cens > 0)
+        z_obs, z_cens, y_cens = out
+        assert np.all(y_cens <= bin_.c_lin)
+        assert np.all(y_cens > 0)
 
     def test_deterministic_given_seed(self):
-        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0], r1=8,
-                           c_db=linear_to_db(1.0))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0], r1=8, c_lin=1.0)
         a, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
                       [np.random.default_rng(13)])
         b, _ = s_step(BinBatch.of([bin_]), _one(_phi()),
                       [np.random.default_rng(13)])
-        np.testing.assert_array_equal(a.z_obs, b.z_obs)
-        np.testing.assert_array_equal(a.y_cens, b.y_cens)
+        a_obs, a_cens, a_y = a
+        b_obs, b_cens, b_y = b
+        np.testing.assert_array_equal(a_obs, b_obs)
+        np.testing.assert_array_equal(a_y, b_y)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_draw_order(self, seed):
@@ -179,7 +182,7 @@ class TestSStep:
         # (by rejection: its mass is >= REJECTION_MASS), then component 2's
         # (by inverse CDF: its mass is below it)
         bin_ = CensoredBin(ld=25.0, observed=[2.0, 3.0, 4.0], r1=6,
-                           c_db=linear_to_db(1.0))
+                           c_lin=1.0)
         bins = BinBatch.of([bin_])
         phi = _one(_phi(m1=2.0, om1=0.5, m2=1.0, om2=2.5))
         out, failed = s_step(bins, phi, [np.random.default_rng(seed)])
@@ -196,9 +199,10 @@ class TestSStep:
         y = [sample_truncated_gamma(rng, phi.m[0, j], phi.omega[0, j], k,
                                     bin_.c_lin, mass[0, j])
              for j, k in ((0, k1), (1, 6 - k1)) if k]
-        np.testing.assert_array_equal(out.z_obs, z_obs)
-        assert out.z_cens.tolist() == [True] * k1 + [False] * (6 - k1)
-        np.testing.assert_array_equal(out.y_cens, np.concatenate(y))
+        got_obs, got_cens, got_y = out
+        np.testing.assert_array_equal(got_obs, z_obs)
+        assert got_cens.tolist() == [True] * k1 + [False] * (6 - k1)
+        np.testing.assert_array_equal(got_y, np.concatenate(y))
 
     def test_imputed_values_follow_truncated_law(self):
         # s_step's own imputation, one component on each side of
@@ -206,15 +210,14 @@ class TestSStep:
         masses, shapes = (0.95, 0.05), (7.0, 35.0)
         omegas = [1.0 / special.gammaincinv(m, q)
                   for m, q in zip(shapes, masses)]
-        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=20_000,
-                           c_db=linear_to_db(1.0))
+        bin_ = CensoredBin(ld=25.0, observed=[2.0], r1=20_000, c_lin=1.0)
         phi = _one(_phi(alpha1=0.05, m1=shapes[0], om1=omegas[0],
                         m2=shapes[1], om2=omegas[1]))
         out, failed = s_step(BinBatch.of([bin_]), phi,
                              [np.random.default_rng(21)])
         assert not failed
-        for j, block in enumerate((out.y_cens[out.z_cens],
-                                   out.y_cens[~out.z_cens])):
+        z_obs, z_cens, y_cens = out
+        for j, block in enumerate((y_cens[z_cens], y_cens[~z_cens])):
             assert block.size > 5_000
 
             def trunc_cdf(y):
@@ -227,8 +230,7 @@ class TestSStep:
 class TestMStep:
     def test_alpha_counting_and_clamp(self):
         bins = _batch([1.0, 2.0, 3.0, 4.0])
-        completed = CompletedAssignment(np.ones(4, bool), np.empty(0, bool),
-                                        np.empty(0))
+        completed = (np.ones(4, bool), np.empty(0, bool), np.empty(0))
         cfg = SemConfig()
         out = m_step(bins, completed, _one(_phi()), cfg)
         # raw alpha1 = 1, stored value clamped to 1 - floor
@@ -237,10 +239,9 @@ class TestMStep:
     def test_hand_built_scale_update(self):
         # comp1 gets {1, 3} observed, comp2 gets {10} observed + {0.5} imputed
         bin_ = CensoredBin(ld=25.0, observed=[1.0, 3.0, 10.0], r1=1,
-                           c_db=linear_to_db(0.6))
-        completed = CompletedAssignment(
-            z_obs=np.array([True, True, False]),
-            z_cens=np.array([False]), y_cens=np.array([0.5]))
+                           c_lin=0.6)
+        completed = (np.array([True, True, False]), np.array([False]),
+                     np.array([0.5]))
         prev = _phi(m1=2.0, om1=1.0, m2=4.0, om2=1.0)
         out = m_step(BinBatch.of([bin_]), completed, _one(prev), SemConfig())
         # omega_im = component mean; omega = omega_im / m_prev
@@ -252,8 +253,7 @@ class TestMStep:
 
     def test_empty_component_gets_nan(self):
         bins = _batch([1.0, 2.0])
-        completed = CompletedAssignment(np.ones(2, bool), np.empty(0, bool),
-                                        np.empty(0))
+        completed = (np.ones(2, bool), np.empty(0, bool), np.empty(0))
         out = m_step(bins, completed, _one(_phi()), SemConfig())
         assert np.isnan(out.m[0, 1]) and np.isnan(out.omega[0, 1])
         assert np.isfinite(out.m[0, 0]) and out.omega[0, 0] == 1.5 / 7.0
@@ -264,8 +264,7 @@ class TestMStep:
         rng = np.random.default_rng(14)
         x = rng.gamma(7.0, 2.0, 400)
         bins = _batch(x)
-        completed = CompletedAssignment(np.ones(x.size, bool),
-                                        np.empty(0, bool), np.empty(0))
+        completed = (np.ones(x.size, bool), np.empty(0, bool), np.empty(0))
         phi = _one(_phi(m1=3.0, om1=1.0))
         cfg = SemConfig()
         for _ in range(5000):
@@ -284,7 +283,7 @@ class TestRunSemcm:
     def test_single_gamma_mean_recovery(self):
         rng = np.random.default_rng(15)
         x = rng.gamma(7.0, 10 ** -8.5 / 7.0, 1000)
-        bin_ = _uncensored_bin(x, c_db=-300.0)
+        bin_ = _uncensored_bin(x, c_lin=db_to_linear(-300.0))
         trace = run_semcm(bin_, init_heuristic(bin_), SemConfig(),
                           np.random.default_rng(1))
         got = linear_to_db(trace.final.comp1.mean)
@@ -327,10 +326,9 @@ class TestRunSemcm:
         rng = np.random.default_rng(17)
         x = rng.gamma(4.0, 1.0, 300)
         scale = 10.0 ** (shift_db / 10.0)
-        b1 = CensoredBin(ld=25.0, observed=x, r1=20,
-                         c_db=linear_to_db(x.min() / 2))
+        b1 = CensoredBin(ld=25.0, observed=x, r1=20, c_lin=x.min() / 2)
         b2 = CensoredBin(ld=25.0, observed=x * scale, r1=20,
-                         c_db=linear_to_db(x.min() * scale / 2))
+                         c_lin=x.min() * scale / 2)
         cfg = SemConfig()
         f1 = run_semcm(b1, init_heuristic(b1), cfg,
                        np.random.default_rng(4)).final
@@ -364,8 +362,7 @@ class TestRunSemcm:
             assert trace.final.row() == tuple(want)
 
     def test_insufficient_data(self):
-        bin_ = CensoredBin(ld=25.0, observed=[1.0], r1=4,
-                           c_db=linear_to_db(0.5))
+        bin_ = CensoredBin(ld=25.0, observed=[1.0], r1=4, c_lin=0.5)
         with pytest.raises(InsufficientDataError):
             run_semcm(bin_, _phi(), SemConfig(), np.random.default_rng(0))
 
@@ -443,9 +440,9 @@ class TestBatchInvariance:
         k = len(bins) - 1  # the deepest bin has censored samples
         assert bins[k].r1 > 0
         few = {"tiny": CensoredBin(ld=40.0, observed=[1e-9], r1=4,
-                                   c_db=bins[0].c_db),
+                                   c_lin=bins[0].c_lin),
                "empty": CensoredBin(ld=41.0, observed=[], r1=0,
-                                    c_db=bins[0].c_db)}
+                                    c_lin=bins[0].c_lin)}
         # the lone-run index of the bin in each lane, k for the broken one
         lanes = [*range(k), k]
         if middle:  # bins filtered before iteration 1 come ahead of k
@@ -493,7 +490,7 @@ class TestBatchInvariance:
                                                    start, reason):
         bins, inits, alone = lone_runs
         last = CensoredBin(ld=40.0, observed=observed, r1=0,
-                           c_db=bins[0].c_db)
+                           c_lin=bins[0].c_lin)
         out = run_semcm_batch([*bins, last],
                               [*inits, start or init_heuristic(last)],
                               BATCH_CONFIG,
@@ -508,7 +505,7 @@ class TestBatchInvariance:
     def test_too_few_samples_fail_alone(self, lone_runs):
         bins, inits, alone = lone_runs
         tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4,
-                           c_db=bins[0].c_db)
+                           c_lin=bins[0].c_lin)
         out = run_semcm_batch([tiny, bins[0]], [inits[0], inits[0]],
                               BATCH_CONFIG, [_batch_rng(9), _batch_rng(0)])
         assert isinstance(out[0], InsufficientDataError)
@@ -530,7 +527,7 @@ class TestFitBins:
     ], ids=["equal-samples", "mean-overflow"])
     def test_failed_start(self, lone_runs, samples, reason):
         bins, inits, _ = lone_runs
-        tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=bins[0].c_db)
+        tiny = CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_lin=bins[0].c_lin)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = fit_bins([_uncensored_bin(samples), bins[0], tiny],
@@ -570,12 +567,12 @@ class TestLaneGroups:
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_matches_one_group(self, lone_runs, monkeypatch, k):
         bins = lone_runs[0]
-        c_db = bins[0].c_db
+        c_lin = bins[0].c_lin
         # failed starts, too few samples and a chain that fails at its end
         odd = [_uncensored_bin([2.0] * 4),
-               CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=c_db),
+               CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_lin=c_lin),
                _uncensored_bin([0.9e308, 1.0e308, 1.1e308, 1.2e308]),
-               CensoredBin(ld=41.0, c_db=c_db, r1=0, observed=db_to_linear(
+               CensoredBin(ld=41.0, c_lin=c_lin, r1=0, observed=db_to_linear(
                    np.array([3058.6, 3071.2, 3080.1])))]
         # the last fails as in test_numerical_failure_leaves_others_alone,
         # from the same generator
@@ -609,7 +606,8 @@ class TestLaneGroups:
     @pytest.mark.parametrize("batch", [
         [],
         [_uncensored_bin([2.0] * 4),
-         CensoredBin(ld=40.0, observed=[1e-9], r1=4, c_db=-109.0)],
+         CensoredBin(ld=40.0, observed=[1e-9], r1=4,
+                     c_lin=db_to_linear(-109.0))],
     ], ids=["empty", "all-starts-fail"])
     def test_no_lanes_start_no_thread(self, monkeypatch, batch):
         one = fit_bins(batch, BATCH_CONFIG, BATCH_SEED)
