@@ -172,8 +172,7 @@ def _estimation_command(args, paths, write) -> int:
         with open(args.input, newline="", encoding="utf-8-sig",
                   errors="surrogateescape") as fh:
             log = ingest.parse_packet_log(fh)
-        bins = ingest.bin_by_ld(np.concatenate(
-            [log, ingest.infer_losses(log)]), args.ld_step, args.c_db)
+        bins = ingest.bin_by_ld(log, args.ld_step, args.c_db)
         history = len(bins) * args.iters * len(model.PARAM_FIELDS)
         if history > MAX_HISTORY_FLOATS:
             raise ChanestError(
@@ -274,9 +273,12 @@ def main(argv=None) -> int:
             args.sem = semcm.SemConfig(args.iters, args.burn, args.digamma)
         except ValueError as exc:
             parser.error(f"--iters {args.iters} --burn {args.burn}: {exc}")
-    # refused before any file is opened: both handles would truncate it
-    if args.command == "estimate" and args.trace \
-            and os.path.realpath(args.trace) == os.path.realpath(args.out):
+    # refused before any file is opened: both handles would truncate it.
+    # samefile also sees a hard link, but only between existing files.
+    if args.command == "estimate" and args.trace and (
+            os.path.realpath(args.trace) == os.path.realpath(args.out)
+            or all(map(os.path.exists, (args.trace, args.out)))
+            and os.path.samefile(args.trace, args.out)):
         parser.error(f"--trace and --out name the same file: {args.out}")
     return _COMMANDS[args.command](args)
 

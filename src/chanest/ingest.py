@@ -216,8 +216,9 @@ def infer_losses(log: np.ndarray) -> np.ndarray:
 
 def bin_by_ld(log: np.ndarray, ld_step: float,
               c_db: float) -> list[CensoredBin]:
-    """Group a log, received and lost rows together, into log-distance bins
-    of width ld_step.
+    """Group a log's rows, with the losses that ``infer_losses`` finds in
+    its seq gaps, into log-distance bins of width ld_step. A duplicate seq
+    or a gap above MAX_SEQ_GAP raises its ValueError.
 
     A row counts as received when its ``db_to_linear`` power is above
     ``c_lin = db_to_linear(c_db)``, which every bin gets as its threshold;
@@ -227,6 +228,7 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     """
     if ld_step <= 0:
         raise ValueError("ld_step must be > 0")
+    log = np.concatenate([log, infer_losses(log)]) if log.size else log
     cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
     order = np.argsort(cell, kind="stable")
     cell, rssi = cell[order], log["rssi_dbm"][order]

@@ -384,13 +384,11 @@ def fit_bins(bins, config: SemConfig, seed: int,
             [bins[b] for b in group], [inits[b] for b in group], config,
             [np.random.default_rng([seed, b]) for b in group])
 
-    if k == 1:
-        results = [run(lanes)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(k - 1) as pool:
-            rest = [pool.submit(contextvars.copy_context().run, run, group)
-                    for group in groups[1:]]
-            results = [run(groups[0]), *(f.result() for f in rest)]
+    # a pool starts no thread until a group is submitted to it
+    with concurrent.futures.ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, run, group)
+                for group in groups[1:]]
+        results = [run(groups[0]), *(f.result() for f in rest)]
     for group, traces in zip(groups, results):
         for b, trace in zip(group, traces):
             out[b] = trace

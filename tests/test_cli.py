@@ -704,13 +704,15 @@ class TestUsage:
         assert err.value.code == 1
         assert "usage:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trace", ["o.csv", "sub/../o.csv", "link.csv"])
+    @pytest.mark.parametrize("trace", ["o.csv", "sub/../o.csv", "link.csv",
+                                       "hard.csv"])
     def test_trace_naming_out(self, tmp_path, capsys, monkeypatch, trace):
         # refused before any file is opened: --out keeps its bytes
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "o.csv"
         out.write_bytes(b"kept\r\n")
         (tmp_path / "link.csv").symlink_to(out)
+        os.link(out, tmp_path / "hard.csv")
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--input", "p.csv", "--c-db", "-109",
                   "--out", str(out), "--trace", trace])

@@ -24,10 +24,6 @@ def _log(rows):
     return np.array(rows, dtype=LOG_DTYPE)
 
 
-def _with_losses(log):
-    return np.concatenate([log, infer_losses(log)])
-
-
 HEADER = "seq,distance_m,rssi_dbm\n"
 
 
@@ -540,7 +536,7 @@ class TestBinByLd:
             rows.append((seq, d, rssi))
             seq += int(rng.integers(1, 4))
         log = _log(rows)
-        bins = bin_by_ld(_with_losses(log), 0.5, -109.0)
+        bins = bin_by_ld(log, 0.5, -109.0)
         total = sum(b.n_total for b in bins)
         assert total == rows[-1][0] - rows[0][0] + 1
 
@@ -573,10 +569,47 @@ class TestBinByLd:
     def test_losses_binned_at_interpolated_distance(self):
         log = _log([(1, 100.0, -90.0), (3, 1000.0, -95.0)])
         # seq 2 at 550 m, ld ~ 27.4
-        bins = bin_by_ld(_with_losses(log), 0.5, -109.0)
+        bins = bin_by_ld(log, 0.5, -109.0)
         by_ld = {b.ld: b for b in bins}
         assert by_ld[math.floor(10 * math.log10(550) / 0.5) * 0.5].r1 == 1
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             bin_by_ld(_log([(1, 100.0, -90.0)]), 0.0, -109.0)
+
+    def test_empty_log(self):
+        assert bin_by_ld(_log([]), 0.5, -109.0) == []
+
+    @pytest.mark.parametrize("seqs, match", [
+        ([1, 1, 3], "duplicate seq"),
+        ([1, 2 + MAX_SEQ_GAP], "MAX_SEQ_GAP")])
+    def test_held_to_the_seq_rule(self, seqs, match):
+        with pytest.raises(ValueError, match=match):
+            bin_by_ld(_log([(s, 100.0, -90.0) for s in seqs]), 0.5, -109.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(log=_logs())
+    def test_counts_seq_gap_losses(self, log):
+        # the same bins as a log that holds its losses as rows
+        got = bin_by_ld(log, 0.5, -109.0)
+        want = bin_by_ld(np.concatenate([log, infer_losses(log)]), 0.5,
+                         -109.0)
+        assert [(b.ld, b.r1, b.c_lin, b.observed.tobytes()) for b in got] \
+            == [(b.ld, b.r1, b.c_lin, b.observed.tobytes()) for b in want]
+
+    def test_receiver_log(self):
+        # a receiver writes no row for a lost packet: its log's losses are
+        # its seq gaps, which the deep bins hold most of
+        sc = Scenario(n_per_bin=300, seed=3)
+        text = io.StringIO()
+        write_packet_log(text, packet_rows(sc))
+        log = _parse("".join(line for line in text.getvalue().splitlines(
+            keepends=True) if not line.endswith(",\r\n")))
+        assert not np.isnan(log["rssi_dbm"]).any()
+        bins = bin_by_ld(log, sc.ld_step, sc.c_db)
+        # the same log holding its seq-gap losses as rows
+        want = bin_by_ld(np.concatenate([log, infer_losses(log)]),
+                         sc.ld_step, sc.c_db)
+        assert [(b.ld, b.r1) for b in bins] == [(b.ld, b.r1) for b in want]
+        assert sum(b.n_total for b in bins) == np.ptp(log["seq"]) + 1
+        assert bins[-1].r1 > 0 and bins[-2].r1 > 0

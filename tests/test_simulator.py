@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
-from chanest.ingest import (LOG_DTYPE, bin_by_ld, infer_losses,
-                            parse_packet_log, write_packet_log)
+from chanest.ingest import (LOG_DTYPE, bin_by_ld, parse_packet_log,
+                            write_packet_log)
 from chanest.model import db_to_linear, linear_to_db
 from chanest.simulator import (MAX_PACKETS, Scenario, generate_scenario,
                                packet_rows, true_params_at)
@@ -187,8 +187,7 @@ class TestPacketRows:
         text = io.StringIO()
         write_packet_log(text, packet_rows(sc))
         log = parse_packet_log(io.StringIO(text.getvalue()))
-        got = bin_by_ld(np.concatenate([log, infer_losses(log)]), step,
-                        c_db)
+        got = bin_by_ld(log, step, c_db)
         assert [(b.ld, b.n_total, b.r1) for b in got] == \
             [(b.ld, b.n_total, b.r1) for b in want]
         for g, w in zip(got, want):
