@@ -66,13 +66,10 @@ def _positive_float(text):
 
 
 def _ld_step(text):
-    value = _positive_float(text)
-    # the bin index of a distance d, 10 log10(d) / step, must stay finite
-    # down to the smallest subnormal d, where 10 log10(d) is about -3233.06
-    if math.isinf(10.0 * math.log10(math.ulp(0.0)) / value):
-        raise argparse.ArgumentTypeError(
-            f"expected a step above about 1.8e-305: {text}")
-    return value
+    try:
+        return ingest.check_ld_step(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _threshold_db(text):

@@ -214,11 +214,23 @@ def infer_losses(log: np.ndarray) -> np.ndarray:
     return lost
 
 
+def check_ld_step(ld_step: float) -> float:
+    """Return ld_step if it is finite, > 0 and keeps the bin index
+    10 log10(d) / ld_step, about -3233.06 / ld_step for the smallest
+    subnormal distance d, finite: above about 1.8e-305. Else ValueError."""
+    if not (0.0 < ld_step < math.inf and math.isfinite(
+            10.0 * math.log10(math.ulp(0.0)) / ld_step)):
+        raise ValueError(f"ld_step must be finite and above about 1.8e-305, "
+                         f"got {ld_step!r}")
+    return ld_step
+
+
 def bin_by_ld(log: np.ndarray, ld_step: float,
               c_db: float) -> list[CensoredBin]:
     """Group a log's rows, with the losses that ``infer_losses`` finds in
-    its seq gaps, into log-distance bins of width ld_step. A duplicate seq
-    or a gap above MAX_SEQ_GAP raises its ValueError.
+    its seq gaps, into log-distance bins of width ld_step. An ld_step that
+    ``check_ld_step`` refuses, a duplicate seq or a gap above MAX_SEQ_GAP
+    raises its ValueError.
 
     A row counts as received when its ``db_to_linear`` power is above
     ``c_lin = db_to_linear(c_db)``, which every bin gets as its threshold;
@@ -226,8 +238,7 @@ def bin_by_ld(log: np.ndarray, ld_step: float,
     counts as censored, matching the left-censoring model. Bin 'ld' is the
     lower edge of the cell. Each bin's observed samples stay in log order.
     """
-    if ld_step <= 0:
-        raise ValueError("ld_step must be > 0")
+    check_ld_step(ld_step)
     log = np.concatenate([log, infer_losses(log)]) if log.size else log
     cell = np.floor(10.0 * np.log10(log["distance_m"]) / ld_step + 1e-9)
     order = np.argsort(cell, kind="stable")

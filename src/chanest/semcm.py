@@ -7,12 +7,12 @@ solve for the shapes). The chain is ergodic rather than convergent, so the
 point estimate is the average over a trailing burn window.
 
 The chains of many bins advance in lockstep: each step works on a
-``BinBatch`` with one ``MixtureBatch`` of parameters, and one
-``solve_shape`` call gives the shapes of every bin. Bin b keeps lane b for
-the whole run, a failed bin with NaN parameters. It draws only from its
-own generator and no lane's arithmetic reads another bin, so a bin's chain
-is the same whichever bins share its batch; a single-bin run is a batch of
-one.
+``BinBatch`` with one (B, 5) float array ``phi`` of ``PARAM_FIELDS`` rows
+(shapes ``phi[:, 1::2]``, scales ``phi[:, 2::2]``), and one ``solve_shape``
+call gives the shapes of every bin. Bin b keeps lane b for the whole run, a
+failed bin with NaN parameters. It draws only from its own generator and no
+lane's arithmetic reads another bin, so a bin's chain is the same whichever
+bins share its batch; a single-bin run is a batch of one.
 """
 from __future__ import annotations
 
@@ -86,23 +86,7 @@ class BinBatch:
                    c_lin=np.array([b.c_lin for b in bins], dtype=float))
 
 
-@dataclass(frozen=True)
-class MixtureBatch:
-    """Mixture parameters of a batch of bins: ``rows`` has shape (B, 5), one
-    ``PARAM_FIELDS`` row per bin."""
-
-    rows: np.ndarray
-    # read-only views: (B,) and (B, 2), column j for component j + 1
-    alpha1 = property(lambda self: self.rows[:, 0])
-    m = property(lambda self: self.rows[:, 1::2])
-    omega = property(lambda self: self.rows[:, 2::2])
-
-    @classmethod
-    def of(cls, params) -> "MixtureBatch":
-        return cls(np.array([p.row() for p in params], float).reshape(-1, 5))
-
-
-def e_step_observed(bins: BinBatch, phi: MixtureBatch) -> np.ndarray:
+def e_step_observed(bins: BinBatch, phi: np.ndarray) -> np.ndarray:
     """P(component 1 | received sample) for every sample of the batch; NaN
     where both weighted component densities underflow or a term overflows.
 
@@ -110,32 +94,27 @@ def e_step_observed(bins: BinBatch, phi: MixtureBatch) -> np.ndarray:
     c + dm * ln x - dw * x: only its three coefficients are formed per bin
     and spread over the samples.
     """
-    n = bins.n_obs
+    n, alpha1, m, omega = bins.n_obs, phi[:, 0], phi[:, 1::2], phi[:, 2::2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        const = np.log(np.column_stack([phi.alpha1, 1.0 - phi.alpha1])) \
-            - special.gammaln(phi.m) - phi.m * np.log(phi.omega)
-        inv = 1.0 / phi.omega
+        const = np.log(np.column_stack([alpha1, 1.0 - alpha1])) \
+            - special.gammaln(m) - m * np.log(omega)
         d = np.repeat(const[:, 0] - const[:, 1], n)
-        term = np.repeat(phi.m[:, 0] - phi.m[:, 1], n)
-        term *= bins.lnx
-        d += term
-        term = np.repeat(inv[:, 0] - inv[:, 1], n)
-        term *= bins.x
-        d -= term
+        d += np.repeat(m[:, 0] - m[:, 1], n) * bins.lnx
+        d -= np.repeat(1.0 / omega[:, 0] - 1.0 / omega[:, 1], n) * bins.x
     return special.expit(d, out=d)
 
 
-def e_step_censored(bins: BinBatch, phi: MixtureBatch):
+def e_step_censored(bins: BinBatch, phi: np.ndarray):
     """P(component 1 | sample censored below c_lin) per bin, NaN where
     neither component has mass below the threshold, and the masses
     P(m_j, c_lin / omega_j) themselves, shape (B, 2)."""
-    mass = special.gammainc(phi.m, bins.c_lin[:, None] / phi.omega)
-    w = np.column_stack([phi.alpha1, 1.0 - phi.alpha1]) * mass
+    mass = special.gammainc(phi[:, 1::2], bins.c_lin[:, None] / phi[:, 2::2])
+    w = np.column_stack([phi[:, 0], 1.0 - phi[:, 0]]) * mass
     with np.errstate(divide="ignore", invalid="ignore"):
         return w[:, 0] / (w[:, 0] + w[:, 1]), mass
 
 
-def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
+def s_step(bins: BinBatch, phi: np.ndarray, rngs):
     """Draw labels for every sample and impute the censored values.
 
     Bin b draws from ``rngs[b]`` only, in one pass: each attempt at its
@@ -170,7 +149,7 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     o1 = c1 = 0
     for b, (n, r1, t1, masses, m, omega, c) in enumerate(zip(
             bins.n_obs.tolist(), bins.r1.tolist(), t_cens.tolist(),
-            mass.tolist(), phi.m.tolist(), phi.omega.tolist(),
+            mass.tolist(), phi[:, 1::2].tolist(), phi[:, 2::2].tolist(),
             bins.c_lin.tolist())):
         o0, o1, c0, c1 = o1, o1 + n, c1, c1 + r1
         if b in failed:
@@ -205,8 +184,8 @@ def s_step(bins: BinBatch, phi: MixtureBatch, rngs):
     return (z_obs, z_cens, y_cens), failed
 
 
-def m_step(bins: BinBatch, completed, phi_prev: MixtureBatch,
-           config: SemConfig) -> MixtureBatch:
+def m_step(bins: BinBatch, completed, phi_prev: np.ndarray,
+           config: SemConfig) -> np.ndarray:
     """Update (alpha, omega, m) of every bin from the completion of s_step.
 
     Scales use the previous shapes (omega_i = omega_im / m_i^prev); the new
@@ -229,7 +208,7 @@ def m_step(bins: BinBatch, completed, phi_prev: MixtureBatch,
 
     counts = per_component(None, None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        omega = per_component(bins.x, y_cens) / counts / phi_prev.m
+        omega = per_component(bins.x, y_cens) / counts / phi_prev[:, 1::2]
         log_mean = per_component(bins.lnx, np.log(y_cens)) / counts \
             - np.log(omega)
         # NaN for a bin without samples, which has failed already
@@ -238,11 +217,10 @@ def m_step(bins: BinBatch, completed, phi_prev: MixtureBatch,
     solvable = np.isfinite(log_mean)
     m = np.full(log_mean.shape, np.nan)
     m[solvable] = solve_shape(log_mean[solvable], config.digamma_mode)
-    return MixtureBatch(np.column_stack(
-        [alpha1, m[:, 0], omega[:, 0], m[:, 1], omega[:, 1]]))
+    return np.c_[alpha1, m[:, 0], omega[:, 0], m[:, 1], omega[:, 1]]
 
 
-def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
+def _ordered(phi: np.ndarray, prev: np.ndarray) -> np.ndarray:
     # keep labels consistent across iterations: per bin, pick the
     # orientation whose components moved least (in log mean / log shape)
     # from the previous iterate, so traces and burn averages track one
@@ -253,18 +231,24 @@ def _ordered(phi: MixtureBatch, prev: MixtureBatch) -> MixtureBatch:
             + np.abs(shape[:, i] - shape0[:, j])
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mean, shape = np.log(phi.m * phi.omega), np.log(phi.m)
-        mean0, shape0 = np.log(prev.m * prev.omega), np.log(prev.m)
+        m, m0 = phi[:, 1::2], prev[:, 1::2]
+        mean, shape = np.log(m * phi[:, 2::2]), np.log(m)
+        mean0, shape0 = np.log(m0 * prev[:, 2::2]), np.log(m0)
         swap = dist(0, 1) + dist(1, 0) < dist(0, 0) + dist(1, 1)
-    swapped = phi.rows[:, [0, 3, 4, 1, 2]]  # the components exchanged
+    swapped = phi[:, [0, 3, 4, 1, 2]]  # the components exchanged
     swapped[:, 0] = 1.0 - swapped[:, 0]
-    return MixtureBatch(np.where(swap[:, None], swapped, phi.rows))
+    return np.where(swap[:, None], swapped, phi)
 
 
 def _invalid_lanes(rows: np.ndarray) -> list:
     """Lanes of parameter rows with a shape or scale not finite and > 0."""
     valid = (rows[:, 1:] > 0) & (rows[:, 1:] < np.inf)
     return np.flatnonzero(~valid.all(axis=1)).tolist()
+
+
+def _check_m1(name: str, value) -> None:
+    if value is not None and not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _too_few_samples(bin_: CensoredBin):
@@ -285,24 +269,28 @@ def run_semcm_batch(bins, inits, config: SemConfig, rngs) -> list:
     S-step's when both steps fail in one iteration). Bin b keeps lane b of
     the batch throughout: a bin that fails, before iteration 1 or in a step,
     gets a NaN parameter row, which the S-step fails before any draw and the
-    M-step leaves unsolved, and the other bins run on unchanged.
-    """
+    M-step leaves unsolved, and the other bins run on unchanged. ``inits``
+    or ``rngs`` of another length than ``bins`` raises ValueError."""
+    if not len(inits) == len(rngs) == len(bins):
+        raise ValueError(f"inits and rngs need one entry per bin: got "
+                         f"{len(inits)} and {len(rngs)} for {len(bins)} bins")
     out = [_too_few_samples(bin_) for bin_ in bins]
-    batch, phi = BinBatch.of(bins), MixtureBatch.of(inits)
-    phi.rows[[b for b, exc in enumerate(out) if exc]] = np.nan
+    batch = BinBatch.of(bins)
+    phi = np.array([p.row() for p in inits], float).reshape(-1, 5)
+    phi[[b for b, exc in enumerate(out) if exc]] = np.nan
     history = np.empty((len(bins), config.iterations, 5))
     for it in range(config.iterations):
         completed, failed = s_step(batch, phi, rngs)
         nxt = m_step(batch, completed, phi, config)
-        for b in _invalid_lanes(nxt.rows):
+        for b in _invalid_lanes(nxt):
             failed.setdefault(b, NumericalFailureError(
                 f"bin ld={batch.ld[b]}: M-step gave a shape or scale that "
                 "is not finite and > 0"))
         for b, exc in failed.items():
             out[b] = out[b] or exc
-        nxt.rows[list(failed)] = np.nan
+        nxt[list(failed)] = np.nan
         phi = _ordered(nxt, phi)
-        history[:, it] = phi.rows
+        history[:, it] = phi
 
     # reduce each parameter's window as one contiguous 1-D run, np.mean's
     # pairwise sum (summing across rows rounds otherwise); finite values
@@ -335,9 +323,10 @@ def init_heuristic(bin_: CensoredBin,
                    m1_guess: float | None = None) -> MixtureParams:
     """Starting point: moment-based (or supplied) signal shape, Rayleigh-like
     interference (m = 1), both means anchored at the observed sample mean
-    with the interference offset +3 dB to break symmetry."""
-    exc = _too_few_samples(bin_)
-    if exc:
+    with the interference offset +3 dB to break symmetry. An ``m1_guess``
+    that is not finite and > 0 raises ValueError."""
+    _check_m1("m1_guess", m1_guess)
+    if exc := _too_few_samples(bin_):
         raise exc
     with np.errstate(over="ignore"):  # an infinite mean fails GammaParams
         mean = float(bin_.observed.mean())
@@ -364,7 +353,9 @@ def fit_bins(bins, config: SemConfig, seed: int,
     runs in lane group i mod k, one ``run_semcm_batch`` each, group 0 on
     this thread and the others on pool threads in copies of this context
     (so numpy's error state holds there): k is the CPU count, capped by the
-    bins and the ``*_MIN_SAMPLES`` floors. No result depends on k."""
+    bins and the ``*_MIN_SAMPLES`` floors. No result depends on k. An
+    ``init_m1`` not finite and > 0 raises ValueError before any chain."""
+    _check_m1("init_m1", init_m1)
     out, inits = [None] * len(bins), {}
     for b, bin_ in enumerate(bins):
         try:

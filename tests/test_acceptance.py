@@ -13,9 +13,8 @@ from chanest.gamma_core import (EULER_GAMMA, digamma, sample_truncated_gamma,
                                 solve_shape)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
                            MixtureParams, db_to_linear, linear_to_db)
-from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
-                           e_step_censored, e_step_observed, init_heuristic,
-                           run_semcm)
+from chanest.semcm import (BinBatch, SemConfig, e_step_censored,
+                           e_step_observed, init_heuristic, run_semcm)
 from chanest.simulator import Scenario, generate_scenario, true_params_at
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -199,8 +198,7 @@ class TestCriterion6EStepOracle:
             a1 = rng.uniform(0.05, 0.95)
             m1, m2 = rng.uniform(0.5, 40, 2)
             om1, om2 = np.exp(rng.uniform(-5, 5, 2))
-            phi = MixtureBatch.of([MixtureParams(a1, GammaParams(m1, om1),
-                                                 GammaParams(m2, om2))])
+            phi = np.array([[a1, m1, om1, m2, om2]])  # PARAM_FIELDS order
             x = float(rng.gamma(m1, om1))
             w1 = mp.mpf(a1) * mp.e ** mp_logpdf(x, m1, om1)
             w2 = mp.mpf(1 - a1) * mp.e ** mp_logpdf(x, m2, om2)
@@ -237,16 +235,16 @@ class TestCriterion7MStepStationarity:
         bins = BinBatch.of([CensoredBin(ld=25.0, observed=x, r1=0,
                                         c_lin=db_to_linear(-300.0))])
         completed = (np.ones(x.size, bool), np.empty(0, bool), np.empty(0))
-        phi = MixtureBatch.of([MixtureParams(1.0, GammaParams(3.0, 1.0),
-                                             GammaParams(1.0, 1.0))])
+        # alpha1 = 1, component 1 at m = 3, omega = 1, in PARAM_FIELDS order
+        phi = np.array([[1.0, 3.0, 1.0, 1.0, 1.0]])
         cfg = SemConfig()
         for _ in range(5000):
             nxt = m_step(bins, completed, phi, cfg)
-            done = abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13
+            done = abs(nxt[0, 1] - phi[0, 1]) < 1e-13
             phi = nxt
             if done:
                 break
-        m_hat, om_hat = phi.m[0, 0], phi.omega[0, 0]
+        m_hat, om_hat = phi[0, 1], phi[0, 2]
         err_mean = abs(m_hat * om_hat - x.mean()) / x.mean()
         err_psi = abs(digamma(m_hat) - float(np.mean(np.log(x / om_hat))))
         ok = err_mean < 1e-9 and err_psi < 1e-9

@@ -574,8 +574,10 @@ class TestBinByLd:
         assert by_ld[math.floor(10 * math.log10(550) / 0.5) * 0.5].r1 == 1
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            bin_by_ld(_log([(1, 100.0, -90.0)]), 0.0, -109.0)
+        # 1e-310: 10 log10(d) / step overflows for the smallest distance d
+        for step in (0.0, -0.5, math.nan, math.inf, 1e-310):
+            with pytest.raises(ValueError, match="ld_step"):
+                bin_by_ld(_log([(1, 100.0, -90.0)]), step, -109.0)
 
     def test_empty_log(self):
         assert bin_by_ld(_log([]), 0.5, -109.0) == []

@@ -16,10 +16,9 @@ from chanest.gamma_core import (REJECTION_MASS, digamma,
                                 sample_truncated_gamma)
 from chanest.model import (PARAM_FIELDS, CensoredBin, GammaParams,
                            MixtureParams, db_to_linear, linear_to_db)
-from chanest.semcm import (BinBatch, MixtureBatch, SemConfig,
-                           e_step_censored, e_step_observed, fit_bins,
-                           init_heuristic, m_step, run_semcm,
-                           run_semcm_batch, s_step)
+from chanest.semcm import (BinBatch, SemConfig, e_step_censored,
+                           e_step_observed, fit_bins, init_heuristic, m_step,
+                           run_semcm, run_semcm_batch, s_step)
 from chanest.simulator import Scenario, generate_scenario, true_params_at
 
 
@@ -37,7 +36,8 @@ def _batch(samples):
 
 
 def _one(phi):
-    return MixtureBatch.of([phi])
+    """A batch of one bin's parameters: a (1, 5) PARAM_FIELDS array."""
+    return np.array([phi.row()])
 
 
 def _density(y, comp):
@@ -81,7 +81,7 @@ class TestEStepObserved:
         phis = [_phi(alpha1=0.3, m1=7, om1=1, m2=1, om2=5), _phi()]
         bins = BinBatch.of([_uncensored_bin([4.0, 9.0]),
                             _uncensored_bin([4.0])])
-        t = e_step_observed(bins, MixtureBatch.of(phis))
+        t = e_step_observed(bins, np.array([p.row() for p in phis]))
         np.testing.assert_array_equal(
             t, np.concatenate([e_step_observed(_batch([4.0, 9.0]),
                                                _one(phis[0])),
@@ -196,8 +196,8 @@ class TestSStep:
             k1 = int(np.count_nonzero(rng.random(6) < t1[0]))
             if 0 < z_obs.sum() + k1 < 9:
                 break
-        y = [sample_truncated_gamma(rng, phi.m[0, j], phi.omega[0, j], k,
-                                    bin_.c_lin, mass[0, j])
+        y = [sample_truncated_gamma(rng, phi[0, 1 + 2 * j], phi[0, 2 + 2 * j],
+                                    k, bin_.c_lin, mass[0, j])
              for j, k in ((0, k1), (1, 6 - k1)) if k]
         got_obs, got_cens, got_y = out
         np.testing.assert_array_equal(got_obs, z_obs)
@@ -234,7 +234,7 @@ class TestMStep:
         cfg = SemConfig()
         out = m_step(bins, completed, _one(_phi()), cfg)
         # raw alpha1 = 1, stored value clamped to 1 - floor
-        assert out.alpha1[0] == pytest.approx(0.98)
+        assert out[0, 0] == pytest.approx(0.98)
 
     def test_hand_built_scale_update(self):
         # comp1 gets {1, 3} observed, comp2 gets {10} observed + {0.5} imputed
@@ -245,18 +245,18 @@ class TestMStep:
         prev = _phi(m1=2.0, om1=1.0, m2=4.0, om2=1.0)
         out = m_step(BinBatch.of([bin_]), completed, _one(prev), SemConfig())
         # omega_im = component mean; omega = omega_im / m_prev
-        assert out.omega[0, 0] == pytest.approx(2.0 / 2.0)
-        assert out.omega[0, 1] == pytest.approx(5.25 / 4.0)
+        assert out[0, 2] == pytest.approx(2.0 / 2.0)
+        assert out[0, 4] == pytest.approx(5.25 / 4.0)
         # shape solves digamma(m) = mean ln(x / omega_new)
-        want_l1 = np.mean(np.log(np.array([1.0, 3.0]) / out.omega[0, 0]))
-        assert digamma(out.m[0, 0]) == pytest.approx(want_l1, abs=1e-9)
+        want_l1 = np.mean(np.log(np.array([1.0, 3.0]) / out[0, 2]))
+        assert digamma(out[0, 1]) == pytest.approx(want_l1, abs=1e-9)
 
     def test_empty_component_gets_nan(self):
         bins = _batch([1.0, 2.0])
         completed = (np.ones(2, bool), np.empty(0, bool), np.empty(0))
         out = m_step(bins, completed, _one(_phi()), SemConfig())
-        assert np.isnan(out.m[0, 1]) and np.isnan(out.omega[0, 1])
-        assert np.isfinite(out.m[0, 0]) and out.omega[0, 0] == 1.5 / 7.0
+        assert np.isnan(out[0, 3]) and np.isnan(out[0, 4])
+        assert np.isfinite(out[0, 1]) and out[0, 2] == 1.5 / 7.0
 
     def test_single_component_ml_stationarity(self):
         # iterating the update on a fully comp1-labeled uncensored sample
@@ -269,11 +269,11 @@ class TestMStep:
         cfg = SemConfig()
         for _ in range(5000):
             nxt = m_step(bins, completed, phi, cfg)
-            if abs(nxt.m[0, 0] - phi.m[0, 0]) < 1e-13:
+            if abs(nxt[0, 1] - phi[0, 1]) < 1e-13:
                 phi = nxt
                 break
             phi = nxt
-        m_hat, om_hat = phi.m[0, 0], phi.omega[0, 0]
+        m_hat, om_hat = phi[0, 1], phi[0, 2]
         assert m_hat * om_hat == pytest.approx(x.mean(), rel=1e-9)
         assert digamma(m_hat) == pytest.approx(
             float(np.mean(np.log(x / om_hat))), abs=1e-9)
@@ -539,6 +539,26 @@ class TestFitBins:
         ref = run_semcm(bins[0], inits[0], BATCH_CONFIG, _batch_rng(1))
         assert np.array_equal(out[1].iterates, ref.iterates)
 
+    @pytest.mark.parametrize("init_m1", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_init_m1(self, lone_runs, monkeypatch, init_m1):
+        # a caller's argument, refused before any chain runs, not a
+        # numerical failure of every bin
+        calls = _groups(monkeypatch, 1)
+        for bins in (lone_runs[0], []):
+            with pytest.raises(ValueError, match="init_m1"):
+                fit_bins(bins, BATCH_CONFIG, BATCH_SEED, init_m1=init_m1)
+        assert calls == []
+
+
+class TestRunSemcmBatchArguments:
+    @pytest.mark.parametrize("n_inits, n_rngs", [(0, 0), (1, 2), (2, 1)])
+    def test_one_entry_per_bin(self, lone_runs, n_inits, n_rngs):
+        bins, inits, _ = lone_runs
+        with pytest.raises(ValueError, match=f"inits and rngs need one entry "
+                           f"per bin: got {n_inits} and {n_rngs} for 2 bins"):
+            run_semcm_batch(bins[:2], inits[:n_inits], BATCH_CONFIG,
+                            [_batch_rng(b) for b in range(n_rngs)])
+
 
 def _groups(monkeypatch, k):
     """Let fit_bins split any batch into k lane groups; returns the list to
@@ -664,6 +684,11 @@ class TestInitHeuristic:
         # interference mean offset +3 dB
         assert init.comp2.mean == pytest.approx(x.mean() * 10 ** 0.3,
                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("m1_guess", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_guess(self, m1_guess):
+        with pytest.raises(ValueError, match="m1_guess"):
+            init_heuristic(_uncensored_bin([1.0, 2.0, 4.0]), m1_guess)
 
     def test_components_distinct(self):
         init = init_heuristic(_uncensored_bin([1.0, 2.0, 4.0]))
